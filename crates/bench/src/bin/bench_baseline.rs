@@ -1,15 +1,17 @@
 //! Emits `BENCH_baseline.json`: machine-readable wall-clock baselines for
-//! the `algorithms`, `grouping`, `lattice_encoded`, `property_extraction`,
-//! and `comparator_matrix` bench groups, plus the out-of-core chunked
-//! groups at 1M/10M rows with a `scaling` section, a `parallel_scaling`
-//! thread sweep (phases timed per thread count, outputs digested for
-//! bit-identity), and per-entry peak RSS.
+//! the `algorithms`, `grouping`, `loss_cache`, `hv_log_vs_exact`,
+//! `lattice_encoded`, `property_extraction`, and `comparator_matrix` bench
+//! groups, plus the out-of-core chunked groups at 1M/10M rows with a
+//! `scaling` section, a `parallel_scaling` thread sweep (phases timed per
+//! thread count, outputs digested for bit-identity), and per-entry peak
+//! RSS.
 //!
-//! Criterion's HTML-free vendored harness prints per-run numbers but keeps
-//! no history; this binary records a single JSON snapshot that CI and the
-//! README perf note can diff against. Timings are wall-clock (mean and min
-//! over a fixed iteration count), measured the same way the criterion
-//! benches measure them, on the same census datasets.
+//! This is the workspace's one kernel-level bench harness: it records a
+//! single JSON snapshot that CI and the README perf note can diff against.
+//! Timings are wall-clock (mean and min over a fixed iteration count) on
+//! synthetic census datasets. The `grouping`, `loss_cache`, and
+//! `hv_log_vs_exact` groups are the ablations of DESIGN.md's key design
+//! decisions 1–3. End-to-end numbers come from `perfbench/`.
 //!
 //! ```text
 //! cargo run -p anoncmp-bench --release --bin bench_baseline            # writes ./BENCH_baseline.json
@@ -36,7 +38,7 @@ use std::time::Instant;
 use anoncmp_anonymize::prelude::*;
 use anoncmp_core::prelude::*;
 use anoncmp_datagen::census::{census_schema, generate, CensusConfig, CensusRows};
-use anoncmp_microdata::loss::LossMetric;
+use anoncmp_microdata::loss::{CellLossCache, LossMetric};
 use anoncmp_microdata::prelude::*;
 use serde::Serialize;
 
@@ -199,7 +201,7 @@ fn census(rows: usize) -> Arc<Dataset> {
     generate(&census_config(rows))
 }
 
-/// Same mid-lattice node the `lattice_encoded` criterion bench uses.
+/// The mid-lattice node every in-memory and chunked group evaluates.
 const NODE: [usize; 6] = [2, 2, 1, 1, 1, 0];
 
 fn grouping_benches(out: &mut Vec<BenchEntry>) {
@@ -224,6 +226,59 @@ fn grouping_benches(out: &mut Vec<BenchEntry>) {
     out.push(entry("grouping", "codes", rows, iters, || {
         std::hint::black_box(EquivalenceClasses::group_by_codes(rows, &columns));
     }));
+}
+
+/// DESIGN.md decision 2: memoized vs direct cell-loss computation over
+/// every cell of a full-domain release.
+fn loss_cache_benches(out: &mut Vec<BenchEntry>) {
+    let metric = LossMetric::paper_ratio();
+    for rows in [1_000usize, 10_000] {
+        let ds = census(rows);
+        let lattice = Lattice::new(ds.schema().clone()).expect("census lattice");
+        let table = lattice.apply(&ds, &NODE, "bench").expect("valid node");
+        let width = ds.schema().len();
+        let iters = 12;
+        out.push(entry("loss_cache", "uncached", rows, iters, || {
+            let mut total = 0.0;
+            for tuple in 0..table.len() {
+                for col in 0..width {
+                    total += metric.cell_loss(&ds, col, table.cell(tuple, col));
+                }
+            }
+            std::hint::black_box(total);
+        }));
+        out.push(entry("loss_cache", "cached", rows, iters, || {
+            let mut cache = CellLossCache::new(metric.clone());
+            let mut total = 0.0;
+            for tuple in 0..table.len() {
+                for col in 0..width {
+                    total += cache.get(&ds, col, table.cell(tuple, col));
+                }
+            }
+            std::hint::black_box(total);
+        }));
+    }
+}
+
+/// Comparisons per timed `hv_log_vs_exact` iteration: one comparison of
+/// two 32-tuple vectors takes well under a microsecond.
+const HV_COMPARISONS: usize = 10_000;
+
+/// DESIGN.md decision 3: exact hypervolume products vs the log-space
+/// proxy, at a dimension still safe for exact products. Each iteration
+/// runs [`HV_COMPARISONS`] comparisons; `rows` is the vector length.
+fn hv_benches(out: &mut Vec<BenchEntry>) {
+    let n = 32usize;
+    let d1 = PropertyVector::new("d1", (0..n).map(|i| ((i % 5) + 2) as f64).collect());
+    let d2 = PropertyVector::new("d2", (0..n).map(|i| ((i % 3) + 3) as f64).collect());
+    for (name, mode) in [("exact", HvMode::Exact), ("log", HvMode::Log)] {
+        let hv = HypervolumeComparator::with_mode(mode);
+        out.push(entry("hv_log_vs_exact", name, n, 20, || {
+            for _ in 0..HV_COMPARISONS {
+                std::hint::black_box(hv.compare(std::hint::black_box(&d1), &d2));
+            }
+        }));
+    }
 }
 
 fn algorithm_benches(out: &mut Vec<BenchEntry>) {
@@ -575,6 +630,8 @@ fn main() {
 
     let mut benches = Vec::new();
     grouping_benches(&mut benches);
+    loss_cache_benches(&mut benches);
+    hv_benches(&mut benches);
     algorithm_benches(&mut benches);
     lattice_benches(&mut benches, &in_memory_sizes);
     property_extraction_benches(&mut benches, &in_memory_sizes);

@@ -11,8 +11,9 @@
 //! cargo run -p anoncmp-bench --bin experiments -- --list          # index
 //! ```
 //!
-//! Criterion micro-benchmarks live under `benches/` (one group per paper
-//! figure plus scaling and ablation benches; see DESIGN.md).
+//! Kernel timings and the design-decision ablations are groups of the
+//! `bench_baseline` binary (`BENCH_baseline.json`); `bench_dist` times
+//! sharded runs (`BENCH_dist.json`). See DESIGN.md.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -21,12 +21,12 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use anoncmp_core::prelude::PropertyVector;
 use anoncmp_microdata::numeric::Release;
+use anoncmp_microdata::parallel::lock;
 use anoncmp_microdata::prelude::Dataset;
-use parking_lot::Mutex;
 use serde::Serialize;
 
 /// Hit/miss counters of a [`MemoCache`], as exposed in sweep reports.
@@ -279,14 +279,14 @@ impl MemoCache {
     /// least-recently-used entries immediately if either already exceeds
     /// its new capacity.
     pub fn set_capacity(&self, releases: usize, vectors: usize) {
-        self.releases.lock().set_capacity(releases);
-        self.vectors.lock().set_capacity(vectors);
+        lock(&self.releases).set_capacity(releases);
+        lock(&self.vectors).set_capacity(vectors);
     }
 
     /// Looks up a release (either family) by fingerprint, counting a hit
     /// or miss.
     pub fn get_release(&self, fingerprint: u64) -> Option<Arc<Release>> {
-        let found = self.releases.lock().get(&fingerprint);
+        let found = lock(&self.releases).get(&fingerprint);
         match found {
             Some(t) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -302,7 +302,7 @@ impl MemoCache {
     /// Stores a computed release. Keeps the existing entry on a racing
     /// double-insert so every holder sees the same `Arc`.
     pub fn insert_release(&self, fingerprint: u64, release: Arc<Release>) -> Arc<Release> {
-        self.releases.lock().get_or_insert(fingerprint, release)
+        lock(&self.releases).get_or_insert(fingerprint, release)
     }
 
     /// Materializes a dataset through the cache: synthesizes via `build`
@@ -312,14 +312,13 @@ impl MemoCache {
         fingerprint: u64,
         build: impl FnOnce() -> Arc<Dataset>,
     ) -> Arc<Dataset> {
-        if let Some(ds) = self.datasets.lock().get(&fingerprint).cloned() {
+        if let Some(ds) = lock(&self.datasets).get(&fingerprint).cloned() {
             return ds;
         }
         // Synthesize outside the lock; racing builders produce identical
         // datasets, and the entry API keeps whichever landed first.
         let built = build();
-        self.datasets
-            .lock()
+        lock(&self.datasets)
             .entry(fingerprint)
             .or_insert(built)
             .clone()
@@ -328,7 +327,7 @@ impl MemoCache {
     /// Looks up an extracted property vector by release content digest and
     /// property tag, counting a vector-cache hit or miss.
     pub fn get_vector(&self, digest: u64, tag: &'static str) -> Option<Arc<PropertyVector>> {
-        let found = self.vectors.lock().get(&(digest, tag));
+        let found = lock(&self.vectors).get(&(digest, tag));
         match found {
             Some(v) => {
                 self.vector_hits.fetch_add(1, Ordering::Relaxed);
@@ -349,7 +348,7 @@ impl MemoCache {
         tag: &'static str,
         vector: Arc<PropertyVector>,
     ) -> Arc<PropertyVector> {
-        self.vectors.lock().get_or_insert((digest, tag), vector)
+        lock(&self.vectors).get_or_insert((digest, tag), vector)
     }
 
     /// Vector-cache `(hits, misses)`. Scheduling-dependent — two workers
@@ -364,12 +363,12 @@ impl MemoCache {
 
     /// Property vectors evicted to stay within the vector-map capacity.
     pub fn vector_evictions(&self) -> u64 {
-        self.vectors.lock().evictions()
+        lock(&self.vectors).evictions()
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let releases = self.releases.lock();
+        let releases = lock(&self.releases);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -383,14 +382,14 @@ impl MemoCache {
     /// Benchmarks use this to re-measure anonymization cost without paying
     /// dataset synthesis on every iteration.
     pub fn clear_releases(&self) {
-        self.releases.lock().clear();
+        lock(&self.releases).clear();
     }
 
     /// Drops all cached artifacts and resets the counters.
     pub fn clear(&self) {
-        self.releases.lock().clear();
-        self.datasets.lock().clear();
-        self.vectors.lock().clear();
+        lock(&self.releases).clear();
+        lock(&self.datasets).clear();
+        lock(&self.vectors).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.vector_hits.store(0, Ordering::Relaxed);

@@ -5,11 +5,12 @@
 //!
 //! [`Engine::run`] deduplicates the submitted jobs by content fingerprint,
 //! serves any job already present in the resumed checkpoint journal
-//! without recomputation, feeds the remaining unique ones into a crossbeam
-//! channel shared by `--jobs N` worker threads (a shared channel *is* work
-//! stealing: idle workers pull the next pending job), and collects
-//! `(index, outcome)` pairs back on the submitting thread, which restores
-//! submission order and streams JSONL records to an optional sink.
+//! without recomputation, and runs the remaining unique ones on `--jobs N`
+//! worker threads that claim pending jobs from a shared atomic counter
+//! (idle workers pull the next pending job, so a slow job never holds up
+//! the others). The submitting thread collects the `(index, outcome)`
+//! pairs, restores submission order and streams JSONL records to an
+//! optional sink.
 //!
 //! # Determinism
 //!
@@ -45,13 +46,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use anoncmp_anonymize::prelude::{AnonymizeError, Result as AnonymizeResult};
 use anoncmp_core::prelude::{BoundedDistanceLoss, PropertyVector};
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::numeric::{NumericBase, NumericRelease, Release};
+use anoncmp_microdata::parallel::lock;
 use anoncmp_microdata::prelude::AnonymizedTable;
 
 use crate::cache::{CacheStats, MemoCache};
@@ -252,23 +254,23 @@ struct JournalState {
 pub struct Engine {
     cache: MemoCache,
     root_seed: u64,
-    budget: parking_lot::Mutex<Option<Duration>>,
+    budget: Mutex<Option<Duration>>,
     jobs: AtomicUsize,
     chunk_threads: AtomicUsize,
-    retry: parking_lot::Mutex<RetryPolicy>,
-    chaos: parking_lot::Mutex<Option<ChaosConfig>>,
+    retry: Mutex<RetryPolicy>,
+    chaos: Mutex<Option<ChaosConfig>>,
     /// Optional process-level record sink (the CLI's `--out` JSONL file);
     /// every sweep appends its records here in submission order.
-    sink: parking_lot::Mutex<Option<Box<dyn Write + Send>>>,
+    sink: Mutex<Option<Box<dyn Write + Send>>>,
     /// Optional quarantine sink (`failed.jsonl`): one JSONL
     /// [`QuarantineRecord`] per job that exhausted its retry budget.
-    quarantine_sink: parking_lot::Mutex<Option<Box<dyn Write + Send>>>,
+    quarantine_sink: Mutex<Option<Box<dyn Write + Send>>>,
     /// The open checkpoint journal, when resumable execution is on.
-    journal: parking_lot::Mutex<Option<JournalState>>,
+    journal: Mutex<Option<JournalState>>,
     /// Completed records keyed by job fingerprint: journal replay plus
     /// everything checkpointed this process. Jobs found here are served
     /// without recomputation.
-    completed: parking_lot::Mutex<HashMap<u64, EvalRecord>>,
+    completed: Mutex<HashMap<u64, EvalRecord>>,
     retries_total: AtomicU64,
     quarantined_total: AtomicU64,
 }
@@ -277,9 +279,9 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("root_seed", &self.root_seed)
-            .field("budget", &*self.budget.lock())
+            .field("budget", &*lock(&self.budget))
             .field("jobs", &self.jobs)
-            .field("retry", &*self.retry.lock())
+            .field("retry", &*lock(&self.retry))
             .field("cache", &self.cache.stats())
             .finish()
     }
@@ -294,15 +296,15 @@ impl Engine {
         Engine {
             cache,
             root_seed: config.root_seed,
-            budget: parking_lot::Mutex::new(config.budget),
+            budget: Mutex::new(config.budget),
             jobs: AtomicUsize::new(config.jobs),
             chunk_threads: AtomicUsize::new(config.chunk_threads),
-            retry: parking_lot::Mutex::new(config.retry),
-            chaos: parking_lot::Mutex::new(config.chaos),
-            sink: parking_lot::Mutex::new(None),
-            quarantine_sink: parking_lot::Mutex::new(None),
-            journal: parking_lot::Mutex::new(None),
-            completed: parking_lot::Mutex::new(HashMap::new()),
+            retry: Mutex::new(config.retry),
+            chaos: Mutex::new(config.chaos),
+            sink: Mutex::new(None),
+            quarantine_sink: Mutex::new(None),
+            journal: Mutex::new(None),
+            completed: Mutex::new(HashMap::new()),
             retries_total: AtomicU64::new(0),
             quarantined_total: AtomicU64::new(0),
         }
@@ -362,24 +364,24 @@ impl Engine {
 
     /// Sets (or clears) the per-job wall-clock budget.
     pub fn set_budget(&self, budget: Option<Duration>) {
-        *self.budget.lock() = budget;
+        *lock(&self.budget) = budget;
     }
 
     /// Sets the retry policy for transient failures.
     pub fn set_retry(&self, retry: RetryPolicy) {
-        *self.retry.lock() = retry;
+        *lock(&self.retry) = retry;
     }
 
     /// Sets the retry count, keeping the configured backoff (the CLI's
     /// `--max-retries` flag).
     pub fn set_max_retries(&self, max_retries: u32) {
-        self.retry.lock().max_retries = max_retries;
+        lock(&self.retry).max_retries = max_retries;
     }
 
     /// Installs (or removes) deterministic fault injection (the CLI's
     /// `--chaos-seed` flag).
     pub fn set_chaos(&self, chaos: Option<ChaosConfig>) {
-        *self.chaos.lock() = chaos;
+        *lock(&self.chaos) = chaos;
     }
 
     /// Current cumulative cache counters.
@@ -422,14 +424,14 @@ impl Engine {
     /// sweep appends its records to it as JSONL, in submission order. This
     /// backs the CLI's `--out <path>` flag.
     pub fn set_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        *self.sink.lock() = sink;
+        *lock(&self.sink) = sink;
     }
 
     /// Installs (or removes) the quarantine sink; jobs that exhaust their
     /// retry budget append one [`QuarantineRecord`] JSONL line each. This
     /// backs the CLI's `failed.jsonl` file.
     pub fn set_quarantine_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        *self.quarantine_sink.lock() = sink;
+        *lock(&self.quarantine_sink) = sink;
     }
 
     /// Resumes from a checkpoint journal (creating it if absent): replays
@@ -440,7 +442,7 @@ impl Engine {
     /// uninterrupted run.
     pub fn resume(&self, path: impl AsRef<Path>) -> io::Result<ResumeSummary> {
         let (journal, replay) = Journal::open_resumable(path)?;
-        *self.journal.lock() = Some(JournalState {
+        *lock(&self.journal) = Some(JournalState {
             journal,
             appends: replay.entries as u64,
             dead: false,
@@ -449,7 +451,7 @@ impl Engine {
             replayed: replay.completed.len(),
             dropped: replay.dropped,
         };
-        self.completed.lock().extend(replay.completed);
+        lock(&self.completed).extend(replay.completed);
         Ok(summary)
     }
 
@@ -465,7 +467,7 @@ impl Engine {
         meta: ShardMeta,
     ) -> io::Result<ResumeSummary> {
         let (journal, replay) = Journal::open_resumable_sharded(path, meta)?;
-        *self.journal.lock() = Some(JournalState {
+        *lock(&self.journal) = Some(JournalState {
             journal,
             appends: replay.entries as u64,
             dead: false,
@@ -474,7 +476,7 @@ impl Engine {
             replayed: replay.completed.len(),
             dropped: replay.dropped,
         };
-        self.completed.lock().extend(replay.completed);
+        lock(&self.completed).extend(replay.completed);
         Ok(summary)
     }
 
@@ -483,7 +485,7 @@ impl Engine {
     /// fsync'd, so a later [`Engine::resume`] can pick up where a killed
     /// process left off.
     pub fn checkpoint_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        *self.journal.lock() = Some(JournalState {
+        *lock(&self.journal) = Some(JournalState {
             journal: Journal::create(path)?,
             appends: 0,
             dead: false,
@@ -494,8 +496,8 @@ impl Engine {
     /// Detaches the journal (if any) and forgets replayed completions.
     /// Subsequent sweeps recompute everything (modulo the memo cache).
     pub fn detach_journal(&self) {
-        *self.journal.lock() = None;
-        self.completed.lock().clear();
+        *lock(&self.journal) = None;
+        lock(&self.completed).clear();
     }
 
     /// Transient-failure retries performed over this engine's lifetime.
@@ -512,7 +514,7 @@ impl Engine {
     /// Record entries in the attached checkpoint journal — replayed plus
     /// appended this process. `0` when no journal is attached.
     pub fn journal_appends(&self) -> u64 {
-        self.journal.lock().as_ref().map_or(0, |s| s.appends)
+        lock(&self.journal).as_ref().map_or(0, |s| s.appends)
     }
 
     /// Runs a sweep, returning outcomes in submission order.
@@ -593,7 +595,7 @@ impl Engine {
         let mut slots: Vec<Option<JobOutcome>> = (0..unique.len()).map(|_| None).collect();
         let mut resumed = 0usize;
         {
-            let completed = self.completed.lock();
+            let completed = lock(&self.completed);
             if !completed.is_empty() {
                 for (slot, &i) in unique.iter().enumerate() {
                     if let Some(record) = completed.get(&jobs[i].job_fingerprint()) {
@@ -621,54 +623,44 @@ impl Engine {
             }
         }
 
-        let worker_count = self.jobs().min(pending.len()).max(1);
-        if worker_count == 1 {
-            // Inline fast path: a single worker needs no scope, channels,
-            // or thread spawn — run on the calling thread. Identical
-            // outcomes (per-job seeds are content-derived), but the
-            // fixed per-sweep cost drops from ~a thread spawn to zero,
-            // which is what keeps the serve daemon's warm-cache requests
-            // in the microsecond range.
-            for &slot in &pending {
+        // Workers claim pending slots from a shared counter, so an idle
+        // worker always takes the next pending job. Each keeps its
+        // outcomes until the pool drains; order is restored below.
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut done = Vec::new();
+            while let Some(&slot) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let job = &jobs[unique[slot]];
                 let outcome = self.execute(job);
                 self.checkpoint(job, &outcome.record);
-                slots[slot] = Some(outcome);
+                done.push((slot, outcome));
             }
-        } else if !pending.is_empty() {
-            let (task_tx, task_rx) = crossbeam::channel::unbounded::<usize>();
-            let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, JobOutcome)>();
-            for &slot in &pending {
-                task_tx.send(slot).expect("queueing tasks");
-            }
-            drop(task_tx);
-
+            done
+        };
+        let worker_count = self.jobs().min(pending.len()).max(1);
+        let done = if worker_count == 1 {
+            // Inline fast path: a single worker needs no thread spawn —
+            // run on the calling thread. Identical outcomes (per-job seeds
+            // are content-derived), but the fixed per-sweep cost drops
+            // from ~a thread spawn to zero, which is what keeps the serve
+            // daemon's warm-cache requests in the microsecond range.
+            drain()
+        } else {
             std::thread::scope(|scope| {
-                for _ in 0..worker_count {
-                    let task_rx = task_rx.clone();
-                    let done_tx = done_tx.clone();
-                    let unique = &unique;
-                    scope.spawn(move || {
-                        while let Ok(slot) = task_rx.recv() {
-                            let job = &jobs[unique[slot]];
-                            let outcome = self.execute(job);
-                            self.checkpoint(job, &outcome.record);
-                            if done_tx.send((slot, outcome)).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                }
-                drop(done_tx);
-                for (slot, outcome) in done_rx.iter() {
-                    slots[slot] = Some(outcome);
-                }
-            });
+                let workers: Vec<_> = (0..worker_count).map(|_| scope.spawn(drain)).collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("engine workers contain job panics"))
+                    .collect()
+            })
+        };
+        for (slot, outcome) in done {
+            slots[slot] = Some(outcome);
         }
 
         // Restore submission order, aliasing duplicates to their primary
         // outcome, and stream the in-order records.
-        let mut engine_sink = self.sink.lock();
+        let mut engine_sink = lock(&self.sink);
         let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
             let src = slots[primary[i]].as_ref().expect("every slot resolved");
@@ -721,14 +713,12 @@ impl Engine {
         }
         let job_fp = job.job_fingerprint();
         {
-            let mut guard = self.journal.lock();
+            let mut guard = lock(&self.journal);
             let Some(state) = guard.as_mut() else { return };
             if state.dead {
                 return;
             }
-            let truncate_at = self
-                .chaos
-                .lock()
+            let truncate_at = lock(&self.chaos)
                 .as_ref()
                 .and_then(|c| c.truncate_journal_after);
             if truncate_at == Some(state.appends) {
@@ -740,9 +730,7 @@ impl Engine {
             match state.journal.append(job_fp, record) {
                 Ok(()) => {
                     state.appends += 1;
-                    let abort_at = self
-                        .chaos
-                        .lock()
+                    let abort_at = lock(&self.chaos)
                         .as_ref()
                         .and_then(|c| c.abort_after_appends);
                     if abort_at == Some(state.appends) {
@@ -767,7 +755,7 @@ impl Engine {
         }
         // Completed in the journal ⇒ a later sweep in this process can
         // also serve it from the completion map.
-        self.completed.lock().insert(job_fp, record.clone());
+        lock(&self.completed).insert(job_fp, record.clone());
     }
 
     /// Writes a quarantine record for a job whose transient failures
@@ -784,7 +772,7 @@ impl Engine {
             cause: record.status.clone(),
             attempts: attempts.to_vec(),
         };
-        if let Some(w) = self.quarantine_sink.lock().as_mut() {
+        if let Some(w) = lock(&self.quarantine_sink).as_mut() {
             let _ = writeln!(w, "{}", entry.to_jsonl());
             let _ = w.flush();
         }
@@ -794,7 +782,7 @@ impl Engine {
     /// failures under the engine's [`RetryPolicy`] and quarantining jobs
     /// that exhaust it.
     fn execute(&self, job: &EvalJob) -> JobOutcome {
-        let policy = *self.retry.lock();
+        let policy = *lock(&self.retry);
         let release_fp = job.release_fingerprint();
         let mut attempts: Vec<AttemptFailure> = Vec::new();
         let mut attempt = 0u32;
@@ -967,12 +955,10 @@ impl Engine {
             .dataset_or_insert_with(ds_fp.finish(), || job.dataset.materialize());
         let constraint = job.constraint();
         let algorithm = job.algorithm;
-        let chaos_fault = self
-            .chaos
-            .lock()
+        let chaos_fault = lock(&self.chaos)
             .as_ref()
             .and_then(|c| c.fault_for(job.release_fingerprint(), attempt));
-        let budget = *self.budget.lock();
+        let budget = *lock(&self.budget);
 
         let run = move || -> AnonymizeResult<Release> {
             match chaos_fault {
@@ -1482,10 +1468,10 @@ mod tests {
     fn quarantine_record_carries_cause_and_attempt_history() {
         // A quarantined job's JSONL entry must state why it died (with
         // the preserved panic payload) and every prior attempt.
-        struct SharedSink(Arc<parking_lot::Mutex<Vec<u8>>>);
+        struct SharedSink(Arc<Mutex<Vec<u8>>>);
         impl Write for SharedSink {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
+                lock(&self.0).extend_from_slice(buf);
                 Ok(buf.len())
             }
             fn flush(&mut self) -> io::Result<()> {
@@ -1493,7 +1479,7 @@ mod tests {
             }
         }
 
-        let buffer = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let buffer = Arc::new(Mutex::new(Vec::new()));
         let engine = Engine::new(EngineConfig {
             jobs: 1,
             retry: RetryPolicy {
@@ -1509,7 +1495,7 @@ mod tests {
         assert_eq!(sweep.quarantined, 1);
         assert_eq!(sweep.retries, 2);
 
-        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let text = String::from_utf8(lock(&buffer).clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1, "one quarantine entry: {text}");
         let entry = serde::json::parse(lines[0]).expect("valid JSONL");

@@ -12,9 +12,10 @@
 //!
 //! * [`EvalJob`] — a typed job spec: dataset spec × algorithm spec ×
 //!   privacy parameters × requested property vectors;
-//! * [`Engine`] — a work-stealing worker pool (crossbeam channels, `--jobs N`)
-//!   with a content-addressed memoization cache, so a release computed for
-//!   one experiment is reused by every later tournament with the same spec;
+//! * [`Engine`] — a worker pool (`--jobs N` threads claiming jobs from a
+//!   shared counter) with a content-addressed memoization cache, so a
+//!   release computed for one experiment is reused by every later
+//!   tournament with the same spec;
 //! * [`EvalRecord`] — a serde-serializable per-release record that can be
 //!   streamed as JSONL to a file sink.
 //!

@@ -6,10 +6,11 @@
 //! record matches a fault-free run.
 
 use std::io::{self, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use anoncmp_engine::prelude::*;
+use anoncmp_microdata::parallel::lock;
 
 /// A mixed grid: every standard algorithm at two k values, plus a
 /// deliberately panicking job so the transient-failure path is exercised
@@ -65,11 +66,11 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 }
 
 /// A quarantine sink tests can read back after the engine is done with it.
-struct SharedSink(Arc<parking_lot::Mutex<Vec<u8>>>);
+struct SharedSink(Arc<Mutex<Vec<u8>>>);
 
 impl Write for SharedSink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().extend_from_slice(buf);
+        lock(&self.0).extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -152,7 +153,7 @@ fn persistent_chaos_quarantines_exactly_the_faulted_jobs() {
         chaos: Some(chaos),
         ..EngineConfig::default()
     });
-    let buffer = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let buffer = Arc::new(Mutex::new(Vec::new()));
     engine.set_quarantine_sink(Some(Box::new(SharedSink(buffer.clone()))));
     let faulted = engine.run(&jobs);
 
@@ -191,7 +192,7 @@ fn persistent_chaos_quarantines_exactly_the_faulted_jobs() {
     }
 
     // Quarantine entries carry the cause and the full attempt history.
-    let text = String::from_utf8(buffer.lock().clone()).unwrap();
+    let text = String::from_utf8(lock(&buffer).clone()).unwrap();
     let entries: Vec<serde::json::Value> = text
         .lines()
         .map(|l| serde::json::parse(l).expect("valid quarantine JSONL"))

@@ -22,8 +22,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
-
 use crate::anonymized::AnonymizedTable;
 use crate::chunked::{ChunkedCodec, TermColumn};
 use crate::codec::{GenCodec, NodePartition};
@@ -476,11 +474,12 @@ impl LossMetric {
 ///
 /// Full-domain recoding yields only a handful of distinct cell values per
 /// column, so caching turns the per-table loss computation from
-/// `O(N · cost(cell))` into `O(N + distinct · cost(cell))`; the `loss_cache`
-/// bench quantifies the gap (DESIGN.md decision 2).
+/// `O(N · cost(cell))` into `O(N + distinct · cost(cell))`; the
+/// `bench_baseline` `loss_cache` group quantifies the gap (DESIGN.md
+/// decision 2).
 pub struct CellLossCache {
     metric: LossMetric,
-    cache: Mutex<HashMap<(usize, GenValue), f64>>,
+    cache: HashMap<(usize, GenValue), f64>,
 }
 
 impl CellLossCache {
@@ -488,29 +487,27 @@ impl CellLossCache {
     pub fn new(metric: LossMetric) -> Self {
         CellLossCache {
             metric,
-            cache: Mutex::new(HashMap::new()),
+            cache: HashMap::new(),
         }
     }
 
     /// The (possibly cached) loss of `gv` in column `col`.
     pub fn get(&mut self, ds: &Dataset, col: usize, gv: &GenValue) -> f64 {
-        let mut cache = self.cache.lock();
-        if let Some(&v) = cache.get(&(col, *gv)) {
-            return v;
-        }
-        let v = self.metric.cell_loss(ds, col, gv);
-        cache.insert((col, *gv), v);
-        v
+        let metric = &self.metric;
+        *self
+            .cache
+            .entry((col, *gv))
+            .or_insert_with(|| metric.cell_loss(ds, col, gv))
     }
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.cache.lock().len()
+        self.cache.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.cache.lock().is_empty()
+        self.cache.is_empty()
     }
 }
 

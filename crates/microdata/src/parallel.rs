@@ -26,11 +26,15 @@
 //!   contiguous spans of one output slice are filled concurrently; each
 //!   row's value must depend only on that row, so no ordering is needed
 //!   at all.
+//!
+//! Beside them sit the workspace's one blocking hand-off, [`Queue`] (the
+//! disk prefetcher and the serve daemon's connection pool), and its one
+//! poison policy, [`lock`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Error, Result};
 
@@ -158,9 +162,9 @@ where
                     // Backpressure: stay within `window` of the merge
                     // frontier so partials never pile up unboundedly.
                     {
-                        let mut st = shared.state.lock().expect("reorder lock");
+                        let mut st = lock(&shared.state);
                         while chunk >= st.merged + window && !shared.abort.load(Ordering::Acquire) {
-                            st = shared.space.wait(st).expect("reorder wait");
+                            st = wait(&shared.space, st);
                         }
                     }
                     if shared.abort.load(Ordering::Acquire) {
@@ -173,12 +177,7 @@ where
                         Err(p) => Slot::Panicked(p),
                     };
                     let stop = !matches!(slot, Slot::Value(_));
-                    shared
-                        .state
-                        .lock()
-                        .expect("reorder lock")
-                        .slots
-                        .insert(chunk, slot);
+                    lock(&shared.state).slots.insert(chunk, slot);
                     shared.ready.notify_all();
                     if stop {
                         break;
@@ -193,13 +192,13 @@ where
         // slot, so this wait always terminates.
         for chunk in 0..chunk_count {
             let slot = {
-                let mut st = shared.state.lock().expect("reorder lock");
+                let mut st = lock(&shared.state);
                 loop {
                     if let Some(slot) = st.slots.remove(&chunk) {
                         st.merged = chunk + 1;
                         break slot;
                     }
-                    st = shared.ready.wait(st).expect("reorder wait");
+                    st = wait(&shared.ready, st);
                 }
             };
             shared.space.notify_all();
@@ -286,12 +285,7 @@ where
                     // strand queued items the in-order merge is waiting
                     // on. Only a panic retires the worker.
                     let stop = matches!(slot, Slot::Panicked(_));
-                    results
-                        .state
-                        .lock()
-                        .expect("reorder lock")
-                        .slots
-                        .insert(index, slot);
+                    lock(&results.state).slots.insert(index, slot);
                     results.ready.notify_all();
                     if stop {
                         break;
@@ -307,7 +301,7 @@ where
         let mut merge_in_order = |upto: usize, merged: &mut usize, blocking: bool| -> Result<()> {
             while *merged < upto {
                 let slot = {
-                    let mut st = results.state.lock().expect("reorder lock");
+                    let mut st = lock(&results.state);
                     loop {
                         if let Some(slot) = st.slots.remove(&*merged) {
                             break Some(slot);
@@ -315,7 +309,7 @@ where
                         if !blocking {
                             break None;
                         }
-                        st = results.ready.wait(st).expect("reorder wait");
+                        st = wait(&results.ready, st);
                     }
                 };
                 let Some(slot) = slot else { return Ok(()) };
@@ -393,11 +387,25 @@ where
     });
 }
 
-/// A minimal blocking MPMC queue (used for work distribution and the
-/// disk-prefetch hand-off). Bounded `push` blocks while the queue is
-/// full; `pop` blocks while it is empty; `close` wakes everyone and
-/// makes further `push`es no-ops and drained `pop`s return `None`.
-pub(crate) struct Queue<T> {
+/// Locks `mutex` under the workspace's one poison policy: a lock whose
+/// holder panicked is recovered, not propagated. The engine contains job
+/// panics and must keep serving after one, and no job runs while holding
+/// a lock taken here, so a panic does not leave guarded data half-updated.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] under the same poison policy as [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A minimal blocking MPMC queue (work distribution, the disk-prefetch
+/// hand-off and the serve daemon's connection pool). Bounded `push`
+/// blocks while the queue is full; `pop` blocks while it is empty;
+/// `close` wakes everyone and makes further `push`es no-ops and drained
+/// `pop`s return `None`. Each pushed item is popped exactly once.
+pub struct Queue<T> {
     state: Mutex<QueueState<T>>,
     added: Condvar,
     removed: Condvar,
@@ -410,7 +418,8 @@ struct QueueState<T> {
 }
 
 impl<T> Queue<T> {
-    pub(crate) fn bounded(capacity: usize) -> Self {
+    /// An open queue holding at most `capacity` items (at least one).
+    pub fn bounded(capacity: usize) -> Self {
         Queue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -423,10 +432,10 @@ impl<T> Queue<T> {
     }
 
     /// Blocks while full; returns `false` (dropping `item`) if closed.
-    pub(crate) fn push(&self, item: T) -> bool {
-        let mut st = self.state.lock().expect("queue lock");
+    pub fn push(&self, item: T) -> bool {
+        let mut st = lock(&self.state);
         while st.items.len() >= self.capacity && !st.closed {
-            st = self.removed.wait(st).expect("queue wait");
+            st = wait(&self.removed, st);
         }
         if st.closed {
             return false;
@@ -438,8 +447,8 @@ impl<T> Queue<T> {
     }
 
     /// Blocks while empty; `None` once closed and drained.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("queue lock");
+    pub fn pop(&self) -> Option<T> {
+        let mut st = lock(&self.state);
         loop {
             if let Some(item) = st.items.pop_front() {
                 drop(st);
@@ -449,13 +458,13 @@ impl<T> Queue<T> {
             if st.closed {
                 return None;
             }
-            st = self.added.wait(st).expect("queue wait");
+            st = wait(&self.added, st);
         }
     }
 
     /// Non-blocking pop (used to recycle prefetch buffers).
     pub(crate) fn try_pop(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
         let item = st.items.pop_front();
         if item.is_some() {
             drop(st);
@@ -464,8 +473,10 @@ impl<T> Queue<T> {
         item
     }
 
-    pub(crate) fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+    /// Closes the queue: blocked `push`es return `false`, and `pop`s
+    /// return `None` once the queued items are drained.
+    pub fn close(&self) {
+        lock(&self.state).closed = true;
         self.added.notify_all();
         self.removed.notify_all();
     }
@@ -646,5 +657,54 @@ mod tests {
         q.close();
         assert!(!q.push(3));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn queue_consumers_partition_the_stream_and_see_the_close() {
+        // Closed before any consumer starts, so every item is still queued
+        // at close time and must be delivered anyway.
+        let q: Queue<usize> = Queue::bounded(100);
+        for i in 0..100 {
+            assert!(q.push(i));
+        }
+        q.close();
+        let mut seen: Vec<usize> = std::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut got = Vec::new();
+                        while let Some(item) = q.pop() {
+                            got.push(item);
+                        }
+                        // Closed and drained: every later pop is `None` too.
+                        assert_eq!(q.pop(), None);
+                        got
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().expect("consumer"))
+                .collect()
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn lock_recovers_a_mutex_poisoned_by_a_panicking_holder() {
+        let m = Mutex::new(0u32);
+        let poisoned = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = lock(&m);
+                    panic!("poison attempt");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(poisoned && m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
     }
 }

@@ -3,8 +3,8 @@
 //! # Architecture
 //!
 //! One acceptor thread polls a nonblocking listener so it can also watch
-//! the shutdown flag; `threads` worker threads pull admitted connections
-//! from a crossbeam channel and serve them to completion. Admission
+//! the shutdown flag; `threads` worker threads pop admitted connections
+//! from a bounded [`Queue`] and serve them to completion. Admission
 //! control sits between the two: every connection holds a
 //! [`Permit`](crate::admission::Permit) from accept to close, and when
 //! all permits are out the acceptor answers `429 overloaded` immediately
@@ -29,17 +29,17 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anoncmp_core::wire::{CompareRequest, ErrorBody, ErrorCode, ServerStats, SweepRequest};
 use anoncmp_engine::fingerprint::Fingerprinter;
 use anoncmp_engine::prelude::{Engine, EngineConfig, EvalJob, LruCache};
-use parking_lot::Mutex;
+use anoncmp_microdata::parallel::{lock, Queue};
 use serde::json::{self, ParseLimits, Value};
 use serde::Serialize;
 
-use crate::admission::Admission;
+use crate::admission::{Admission, Permit};
 use crate::http::{self, ChunkedWriter, HttpLimits, ReadError, Request};
 use crate::requests::{plan_compare, plan_sweep, PlanError, RequestLimits};
 use crate::shutdown::ShutdownFlag;
@@ -107,6 +107,10 @@ struct Inner {
     /// run, never what a batch contains.
     responses: Mutex<LruCache<u64, Arc<Vec<String>>>>,
     admission: Arc<Admission>,
+    /// Admitted connections waiting for a worker. Admission caps queued
+    /// plus served connections at `max_inflight`, the queue's capacity,
+    /// so the acceptor's `push` never blocks.
+    connections: Queue<(TcpStream, Permit)>,
     shutdown: ShutdownFlag,
     limits: RequestLimits,
     http: HttpLimits,
@@ -132,7 +136,7 @@ impl Inner {
     fn stats(&self) -> ServerStats {
         let cache = self.engine.cache_stats();
         let (vector_hits, vector_misses) = self.engine.vector_cache_stats();
-        let responses = self.responses.lock();
+        let responses = lock(&self.responses);
         ServerStats {
             requests_total: self.requests_total.load(Ordering::Relaxed),
             compare_requests: self.compare_requests.load(Ordering::Relaxed),
@@ -204,6 +208,9 @@ impl ServerHandle {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
+        // The acceptor is gone (returned or panicked), so nothing pushes
+        // any more: closing lets the workers drain the queue and stop.
+        self.inner.connections.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -243,6 +250,7 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
         engine,
         responses: Mutex::new(LruCache::new(config.response_capacity)),
         admission: Admission::new(config.max_inflight),
+        connections: Queue::bounded(config.max_inflight),
         shutdown,
         limits: config.limits,
         http: config.http,
@@ -257,25 +265,21 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
         response_misses: AtomicU64::new(0),
     });
 
-    let (conn_tx, conn_rx) =
-        crossbeam::channel::unbounded::<(TcpStream, crate::admission::Permit)>();
-
     let acceptor = {
         let inner = inner.clone();
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, &inner, conn_tx))?
+            .spawn(move || accept_loop(listener, &inner))?
     };
 
     let mut workers = Vec::with_capacity(threads);
     for i in 0..threads {
         let inner = inner.clone();
-        let conn_rx = conn_rx.clone();
         workers.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
                 .spawn(move || {
-                    while let Ok((stream, permit)) = conn_rx.recv() {
+                    while let Some((stream, permit)) = inner.connections.pop() {
                         handle_connection(&inner, stream);
                         drop(permit);
                     }
@@ -291,13 +295,8 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
     })
 }
 
-/// Accepts until shutdown; sheds when admission is full. Dropping the
-/// sender at the end is what stops the workers (after the queue drains).
-fn accept_loop(
-    listener: TcpListener,
-    inner: &Arc<Inner>,
-    conn_tx: crossbeam::channel::Sender<(TcpStream, crate::admission::Permit)>,
-) {
+/// Accepts until shutdown; sheds when admission is full.
+fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
     // Adaptive poll backoff: a busy server re-polls almost immediately
     // (accept latency is on every request's critical path), an idle one
     // backs off to 5 ms so the daemon doesn't spin.
@@ -310,9 +309,7 @@ fn accept_loop(
                 backoff = MIN_BACKOFF;
                 match inner.admission.try_acquire() {
                     Some(permit) => {
-                        if conn_tx.send((stream, permit)).is_err() {
-                            return;
-                        }
+                        inner.connections.push((stream, permit));
                     }
                     None => shed(stream),
                 }
@@ -684,7 +681,7 @@ fn stream_sweep(
 /// is correct to serve.
 fn run_jobs(inner: &Arc<Inner>, jobs: &[EvalJob]) -> Arc<Vec<String>> {
     let key = batch_fingerprint(jobs);
-    if let Some(lines) = inner.responses.lock().get(&key) {
+    if let Some(lines) = lock(&inner.responses).get(&key) {
         inner.response_hits.fetch_add(1, Ordering::Relaxed);
         return lines;
     }
@@ -696,7 +693,7 @@ fn run_jobs(inner: &Arc<Inner>, jobs: &[EvalJob]) -> Arc<Vec<String>> {
         .iter()
         .map(|o| o.record.canonical().to_jsonl())
         .collect();
-    inner.responses.lock().get_or_insert(key, Arc::new(lines))
+    lock(&inner.responses).get_or_insert(key, Arc::new(lines))
 }
 
 /// Content fingerprint of a job batch: order-sensitive fold of each
