@@ -40,8 +40,8 @@ fn main() {
         return;
     }
 
-    // Flags with values: --jobs N, --chunk-threads N, --out PATH,
-    // --resume PATH, --max-retries N, --chaos-seed N.
+    // Flags with values: --jobs N, --out PATH, --resume PATH,
+    // --max-retries N, --chaos-seed N.
     let mut positional: Vec<&str> = Vec::new();
     let mut quick = false;
     let mut resuming = false;
@@ -57,13 +57,6 @@ fn main() {
                     .and_then(|v| v.parse::<usize>().ok())
                     .unwrap_or_else(|| fail("--jobs needs a non-negative integer"));
                 Engine::global().set_jobs(n);
-            }
-            "--chunk-threads" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| fail("--chunk-threads needs a non-negative integer"));
-                Engine::global().set_chunk_threads(n);
             }
             "--out" => {
                 let path = it.next().unwrap_or_else(|| fail("--out needs a file path"));

@@ -8,13 +8,10 @@
 //! the raw (un-negated) variant is available separately where useful.
 
 use anoncmp_microdata::loss::{
-    discernibility_vector, discernibility_vector_chunked, discernibility_vector_encoded,
-    precision_vector, precision_vector_chunked, precision_vector_encoded, LossMetric,
+    discernibility_vector, discernibility_vector_encoded, precision_vector,
+    precision_vector_encoded, LossMetric,
 };
-use anoncmp_microdata::parallel as chunk_parallel;
-use anoncmp_microdata::prelude::{
-    AnonymizedTable, ChunkedCodec, Dataset, GenCodec, NodePartition, Value,
-};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, NodePartition, Value};
 
 use crate::vector::{PropertySet, PropertyVector};
 
@@ -46,85 +43,6 @@ pub trait Property {
             .expect("partition levels fit the codec");
         self.extract(&table)
     }
-
-    /// Measures the property from the **out-of-core chunked store** — no
-    /// materialized dataset exists at all — returning a vector
-    /// bit-identical to [`Property::extract_encoded`] (and therefore to
-    /// [`Property::extract`] on the decoded node), or `None` when the
-    /// property has no chunked kernel.
-    ///
-    /// The default returns `None`: without a materialized table there is
-    /// no generic fallback, so custom properties opt in explicitly. All
-    /// nine built-ins override this with kernels that stream the chunked
-    /// columns; their only O(rows) state is the per-row class-id vector
-    /// (cached on the partition) and the output vector itself.
-    ///
-    /// # Panics
-    /// If `partition` does not fit `codec`, consistent with
-    /// [`Property::extract_encoded`].
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let _ = (codec, partition);
-        None
-    }
-}
-
-/// Per-row class ids from the chunked store (cached on the partition) —
-/// the shared entry point of the chunked extractors.
-fn chunked_class_ids<'a>(codec: &ChunkedCodec, partition: &'a NodePartition) -> &'a [u32] {
-    partition
-        .class_ids_chunked(codec)
-        .expect("partition levels fit the codec")
-}
-
-/// Per-`(class, sensitive code)` occurrence counts by streaming the
-/// sensitive column chunk-at-a-time. Codes index the column's
-/// distinct-value summary; the code ↔ value mapping is a bijection over
-/// the values present, so counts keyed by code equal counts keyed by
-/// [`Value`].
-fn chunked_sensitive_counts(
-    codec: &ChunkedCodec,
-    ids: &[u32],
-    col: usize,
-) -> std::collections::HashMap<(u32, u32), usize> {
-    // Workers tally per-chunk partial counts; merging integer tallies is
-    // key-wise commutative, so the folded map is deterministic at every
-    // thread count (and the reduce runs in chunk order regardless).
-    let mut counts: std::collections::HashMap<(u32, u32), usize> = std::collections::HashMap::new();
-    codec
-        .map_raw_chunks(
-            col,
-            || (),
-            |(), base, codes| {
-                let mut partial: std::collections::HashMap<(u32, u32), usize> =
-                    std::collections::HashMap::new();
-                for (i, &code) in codes.iter().enumerate() {
-                    *partial.entry((ids[base + i], code)).or_insert(0) += 1;
-                }
-                Ok(partial)
-            },
-            |_, partial| {
-                for (key, n) in partial {
-                    *counts.entry(key).or_insert(0) += n;
-                }
-                Ok(())
-            },
-        )
-        .expect("chunked column streams");
-    counts
-}
-
-fn resolve_sensitive_column_chunked(codec: &ChunkedCodec, column: Option<usize>) -> usize {
-    column.unwrap_or_else(|| {
-        *codec
-            .schema()
-            .sensitive()
-            .first()
-            .expect("schema declares at least one sensitive attribute")
-    })
 }
 
 /// Per-row class sizes under a partition — the shared kernel of the
@@ -162,22 +80,6 @@ impl Property for EqClassSize {
             .collect();
         PropertyVector::from_usizes(self.name(), &sizes)
     }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let ids = chunked_class_ids(codec, partition);
-        let class_sizes = partition.sizes();
-        let mut sizes: Vec<usize> = vec![0; ids.len()];
-        chunk_parallel::fill_spans(&mut sizes, codec.threads(), |base, span| {
-            for (i, s) in span.iter_mut().enumerate() {
-                *s = class_sizes[ids[base + i] as usize] as usize;
-            }
-        });
-        Some(PropertyVector::from_usizes(self.name(), &sizes))
-    }
 }
 
 /// Per-tuple probability of a privacy breach under the equivalence-class
@@ -212,22 +114,6 @@ impl Property for BreachProbability {
             .map(|s| -(1.0 / s as f64))
             .collect();
         PropertyVector::new(self.name(), v)
-    }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let ids = chunked_class_ids(codec, partition);
-        let sizes = partition.sizes();
-        let mut v: Vec<f64> = vec![0.0; ids.len()];
-        chunk_parallel::fill_spans(&mut v, codec.threads(), |base, span| {
-            for (i, p) in span.iter_mut().enumerate() {
-                *p = -(1.0 / sizes[ids[base + i] as usize] as f64);
-            }
-        });
-        Some(PropertyVector::new(self.name(), v))
     }
 }
 
@@ -312,35 +198,6 @@ impl Property for SensitiveValueCount {
             .collect();
         PropertyVector::from_usizes(self.name(), &v)
     }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let col = resolve_sensitive_column_chunked(codec, self.column);
-        let ids = chunked_class_ids(codec, partition);
-        let counts = chunked_sensitive_counts(codec, ids, col);
-        let mut v: Vec<usize> = Vec::with_capacity(codec.rows());
-        codec
-            .map_raw_chunks(
-                col,
-                || (),
-                |(), base, codes| {
-                    Ok(codes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &code)| counts[&(ids[base + i], code)])
-                        .collect::<Vec<usize>>())
-                },
-                |_, chunk_counts| {
-                    v.extend_from_slice(&chunk_counts);
-                    Ok(())
-                },
-            )
-            .expect("chunked column streams");
-        Some(PropertyVector::from_usizes(self.name(), &v))
-    }
 }
 
 /// Number of *distinct* sensitive values in a tuple's equivalence class —
@@ -397,29 +254,6 @@ impl Property for DistinctSensitiveCount {
             .collect();
         let v: Vec<usize> = ids.iter().map(|&c| distinct[c as usize]).collect();
         PropertyVector::from_usizes(self.name(), &v)
-    }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let col = resolve_sensitive_column_chunked(codec, self.column);
-        let ids = chunked_class_ids(codec, partition);
-        // Each `(class, code)` key occurs once per distinct sensitive value
-        // present in that class, so counting keys counts distinct values.
-        let counts = chunked_sensitive_counts(codec, ids, col);
-        let mut distinct: Vec<usize> = vec![0; partition.class_count()];
-        for &(class, _) in counts.keys() {
-            distinct[class as usize] += 1;
-        }
-        let mut v: Vec<usize> = vec![0; ids.len()];
-        chunk_parallel::fill_spans(&mut v, codec.threads(), |base, span| {
-            for (i, d) in span.iter_mut().enumerate() {
-                *d = distinct[ids[base + i] as usize];
-            }
-        });
-        Some(PropertyVector::from_usizes(self.name(), &v))
     }
 }
 
@@ -519,76 +353,6 @@ impl Property for TClosenessDistance {
         let v: Vec<f64> = ids.iter().map(|&c| -per_class[c as usize]).collect();
         PropertyVector::new(self.name(), v)
     }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let col = resolve_sensitive_column_chunked(codec, self.column);
-        let n = codec.rows() as f64;
-        // Global distribution over sensitive codes, in row-stream
-        // first-appearance order. The code ↔ value bijection preserves the
-        // materialized path's ordering, so the TV sum accumulates in the
-        // same order and the distances match bit-for-bit. Parallel chunks
-        // tally chunk-local first-appearance lists; merging them in chunk
-        // order reproduces the global first-appearance order, and the
-        // tallies are exact integers in f64, so the sums are too.
-        let mut global: Vec<(u32, f64)> = Vec::new();
-        codec
-            .map_raw_chunks(
-                col,
-                || (),
-                |(), _, codes| {
-                    let mut partial: Vec<(u32, f64)> = Vec::new();
-                    for &code in codes {
-                        match partial.iter_mut().find(|(g, _)| *g == code) {
-                            Some((_, c)) => *c += 1.0,
-                            None => partial.push((code, 1.0)),
-                        }
-                    }
-                    Ok(partial)
-                },
-                |_, partial| {
-                    for (code, count) in partial {
-                        match global.iter_mut().find(|(g, _)| *g == code) {
-                            Some((_, c)) => *c += count,
-                            None => global.push((code, count)),
-                        }
-                    }
-                    Ok(())
-                },
-            )
-            .expect("chunked column streams");
-        for (_, c) in &mut global {
-            *c /= n;
-        }
-        let ids = chunked_class_ids(codec, partition);
-        let counts = chunked_sensitive_counts(codec, ids, col);
-        let sizes = partition.sizes();
-        // Per-class TV distances are independent; the within-class sum
-        // runs over `global` in its fixed order either way.
-        let mut per_class: Vec<f64> = vec![0.0; sizes.len()];
-        chunk_parallel::fill_spans(&mut per_class, codec.threads(), |base, span| {
-            for (i, out) in span.iter_mut().enumerate() {
-                let class = base + i;
-                let m = sizes[class] as f64;
-                let mut tv = 0.0;
-                for &(code, gp) in &global {
-                    let local = counts.get(&(class as u32, code)).copied().unwrap_or(0) as f64 / m;
-                    tv += (local - gp).abs();
-                }
-                *out = tv / 2.0;
-            }
-        });
-        let mut v: Vec<f64> = vec![0.0; ids.len()];
-        chunk_parallel::fill_spans(&mut v, codec.threads(), |base, span| {
-            for (i, out) in span.iter_mut().enumerate() {
-                *out = -per_class[ids[base + i] as usize];
-            }
-        });
-        Some(PropertyVector::new(self.name(), v))
-    }
 }
 
 /// Per-tuple data utility under a configurable loss metric:
@@ -637,18 +401,6 @@ impl Property for IyengarUtility {
             .expect("partition levels fit the codec");
         PropertyVector::new(self.name(), v)
     }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let v = self
-            .metric
-            .utility_vector_chunked(codec, partition.levels())
-            .expect("partition levels fit the codec");
-        Some(PropertyVector::new(self.name(), v))
-    }
 }
 
 /// Per-tuple generalization loss (lower is better; extracted negated).
@@ -695,21 +447,6 @@ impl Property for GeneralizationLoss {
             .collect();
         PropertyVector::new(self.name(), v)
     }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let v: Vec<f64> = self
-            .metric
-            .loss_vector_chunked(codec, partition.levels())
-            .expect("partition levels fit the codec")
-            .into_iter()
-            .map(|l| -l)
-            .collect();
-        Some(PropertyVector::new(self.name(), v))
-    }
 }
 
 /// Per-tuple precision (Sweeney's Prec decomposed by tuple; higher is
@@ -730,16 +467,6 @@ impl Property for Precision {
         let v = precision_vector_encoded(codec, partition.levels())
             .expect("partition levels fit the codec");
         PropertyVector::new(self.name(), v)
-    }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let v = precision_vector_chunked(codec, partition.levels())
-            .expect("partition levels fit the codec");
-        Some(PropertyVector::new(self.name(), v))
     }
 }
 
@@ -771,19 +498,6 @@ impl Property for Discernibility {
             .map(|d| -d)
             .collect();
         PropertyVector::new(self.name(), v)
-    }
-
-    fn extract_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        partition: &NodePartition,
-    ) -> Option<PropertyVector> {
-        let v: Vec<f64> = discernibility_vector_chunked(codec, partition)
-            .expect("partition levels fit the codec")
-            .into_iter()
-            .map(|d| -d)
-            .collect();
-        Some(PropertyVector::new(self.name(), v))
     }
 }
 
@@ -928,61 +642,6 @@ mod tests {
             assert_eq!(from_table.name(), from_codec.name(), "{}", p.name());
             assert_eq!(from_table.values(), from_codec.values(), "{}", p.name());
         }
-    }
-
-    #[test]
-    fn chunked_extraction_is_bit_identical_to_table_extraction() {
-        let t = fixture();
-        let props: Vec<Box<dyn Property>> = vec![
-            Box::new(EqClassSize),
-            Box::new(BreachProbability),
-            Box::new(SensitiveValueCount::default()),
-            Box::new(DistinctSensitiveCount::default()),
-            Box::new(TClosenessDistance::default()),
-            Box::new(IyengarUtility::with_metric(LossMetric::paper_ratio())),
-            Box::new(GeneralizationLoss::classic()),
-            Box::new(Precision),
-            Box::new(Discernibility),
-        ];
-        for chunk_rows in [1, 2, 4, 6, 64] {
-            let codec = ChunkedCodec::from_dataset(t.dataset(), chunk_rows).unwrap();
-            let partition = codec.partition(&[1]).unwrap();
-            for p in &props {
-                let from_table = p.extract(&t);
-                let from_chunks = p
-                    .extract_chunked(&codec, &partition)
-                    .expect("built-ins have chunked kernels");
-                assert_eq!(
-                    from_table.name(),
-                    from_chunks.name(),
-                    "{} @ chunk_rows={chunk_rows}",
-                    p.name()
-                );
-                assert_eq!(
-                    from_table.values(),
-                    from_chunks.values(),
-                    "{} @ chunk_rows={chunk_rows}",
-                    p.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn custom_properties_default_to_no_chunked_kernel() {
-        struct RowIndex;
-        impl Property for RowIndex {
-            fn name(&self) -> String {
-                "row-index".into()
-            }
-            fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
-                PropertyVector::new(self.name(), (0..table.len()).map(|i| i as f64).collect())
-            }
-        }
-        let t = fixture();
-        let codec = ChunkedCodec::from_dataset(t.dataset(), 3).unwrap();
-        let partition = codec.partition(&[1]).unwrap();
-        assert!(RowIndex.extract_chunked(&codec, &partition).is_none());
     }
 
     #[test]

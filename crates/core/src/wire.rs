@@ -348,9 +348,6 @@ pub struct ServerStats {
     pub inflight: u64,
     /// Serving threads.
     pub threads: u64,
-    /// Intra-node chunk threads each running sweep job may use (the
-    /// resolved `--chunk-threads` budget; see the engine's `ScopedPool`).
-    pub chunk_threads: u64,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
     /// Release-cache hits since start.
@@ -401,7 +398,6 @@ impl ServerStats {
             rejected_total: field("rejected_total")?,
             inflight: field("inflight")?,
             threads: field("threads")?,
-            chunk_threads: field("chunk_threads")?,
             uptime_ms: field("uptime_ms")?,
             cache_hits: field("cache_hits")?,
             cache_misses: field("cache_misses")?,
@@ -527,7 +523,6 @@ mod tests {
             rejected_total: 1,
             inflight: 3,
             threads: 4,
-            chunk_threads: 2,
             uptime_ms: 1234,
             cache_hits: 5,
             cache_misses: 6,

@@ -169,10 +169,8 @@ fn weighted<R: Rng>(rng: &mut R, weights: &[f64]) -> usize {
 /// A streaming census row source: yields exactly the rows [`generate`]
 /// materializes, one at a time, without ever holding more than one row.
 ///
-/// Two sources built from the same config produce identical streams, so a
-/// closure `|| CensusRows::new(&config)` is a valid deterministic row
-/// factory for `ChunkedCodec::from_rows` — the route to out-of-core
-/// datasets far larger than memory.
+/// Two sources built from the same config produce identical streams;
+/// [`generate`] collects one.
 pub struct CensusRows {
     rng: StdRng,
     remaining: usize,

@@ -114,9 +114,8 @@ fn weighted<R: Rng>(rng: &mut R, weights: &[f64]) -> usize {
 
 /// A streaming discharge row source: yields exactly the rows
 /// [`generate_hospital`] materializes, one at a time. Two sources built
-/// from the same config produce identical streams, making
-/// `|| HospitalRows::new(&config)` a deterministic row factory for
-/// `ChunkedCodec::from_rows`.
+/// from the same config produce identical streams; [`generate_hospital`]
+/// collects one.
 pub struct HospitalRows {
     rng: StdRng,
     remaining: usize,

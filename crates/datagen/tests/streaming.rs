@@ -1,12 +1,8 @@
 //! Streaming-generator determinism: the iterator row sources must yield
-//! exactly the rows the monolithic generators materialize, and feeding
-//! them to the chunked codec must reproduce the in-memory codec's
-//! partitions at every chunk size (including sizes that do not divide the
-//! row count and sizes larger than it).
+//! exactly the rows the monolithic generators materialize.
 
 use anoncmp_datagen::{
-    census_schema, generate, generate_hospital, hospital_schema, CensusConfig, CensusRows,
-    HospitalConfig, HospitalRows,
+    generate, generate_hospital, CensusConfig, CensusRows, HospitalConfig, HospitalRows,
 };
 use anoncmp_microdata::prelude::*;
 
@@ -50,58 +46,4 @@ fn restarted_streams_are_identical() {
     let a: Vec<Vec<Value>> = CensusRows::new(&cfg).collect();
     let b: Vec<Vec<Value>> = CensusRows::new(&cfg).collect();
     assert_eq!(a, b, "the row factory must be deterministic");
-}
-
-#[test]
-fn chunked_codec_over_census_stream_matches_in_memory_codec() {
-    let cfg = CensusConfig {
-        rows: 250,
-        seed: 5,
-        zip_pool: 20,
-    };
-    let ds = generate(&cfg);
-    let codec = GenCodec::new(&ds).unwrap();
-    let node = [2usize, 2, 1, 1, 1, 0];
-    let expected = codec.partition(&node).unwrap();
-    for chunk_rows in [1, 7, 64, 251] {
-        let chunked = ChunkedCodec::from_rows(
-            census_schema(cfg.zip_pool),
-            || CensusRows::new(&cfg),
-            chunk_rows,
-            ChunkStore::Memory,
-        )
-        .unwrap();
-        let got = chunked.partition(&node).unwrap();
-        assert_eq!(got.sizes(), expected.sizes(), "chunk_rows={chunk_rows}");
-        assert_eq!(
-            got.representatives(),
-            expected.representatives(),
-            "chunk_rows={chunk_rows}"
-        );
-    }
-}
-
-#[test]
-fn chunked_codec_over_hospital_stream_matches_in_memory_codec() {
-    let cfg = HospitalConfig { rows: 180, seed: 3 };
-    let ds = generate_hospital(&cfg);
-    let codec = GenCodec::new(&ds).unwrap();
-    let node = [2usize, 2, 1, 1];
-    let expected = codec.partition(&node).unwrap();
-    for chunk_rows in [1, 7, 64, 181] {
-        let chunked = ChunkedCodec::from_rows(
-            hospital_schema(),
-            || HospitalRows::new(&cfg),
-            chunk_rows,
-            ChunkStore::Memory,
-        )
-        .unwrap();
-        let got = chunked.partition(&node).unwrap();
-        assert_eq!(got.sizes(), expected.sizes(), "chunk_rows={chunk_rows}");
-        assert_eq!(
-            got.representatives(),
-            expected.representatives(),
-            "chunk_rows={chunk_rows}"
-        );
-    }
 }

@@ -59,9 +59,8 @@ use anoncmp_microdata::prelude::AnonymizedTable;
 use crate::cache::{CacheStats, MemoCache};
 use crate::chaos::{ChaosConfig, Fault, CHAOS_PANIC_MESSAGE};
 use crate::fingerprint::{derive_seed, hex_id, release_digest, Fingerprinter};
-use crate::job::{DatasetSpec, EvalJob};
+use crate::job::EvalJob;
 use crate::journal::{Journal, ShardMeta};
-use crate::pool::ScopedPool;
 use crate::record::{
     AttemptFailure, EvalRecord, JobStatus, PropertySummary, QuarantineRecord, ReleaseMetrics,
 };
@@ -129,9 +128,8 @@ pub struct EngineConfig {
     pub release_capacity: usize,
     /// Property-vector-cache capacity in entries (`0` = unbounded).
     pub vector_capacity: usize,
-    /// Intra-node chunk threads each running job may use (`0` = auto:
-    /// the machine's cores divided by the job worker count — see
-    /// [`ScopedPool`]). Thread budgets never change results.
+    /// Unused: nothing reads it. Kept so existing struct literals that
+    /// name it still compile.
     pub chunk_threads: usize,
 }
 
@@ -256,7 +254,6 @@ pub struct Engine {
     root_seed: u64,
     budget: Mutex<Option<Duration>>,
     jobs: AtomicUsize,
-    chunk_threads: AtomicUsize,
     retry: Mutex<RetryPolicy>,
     chaos: Mutex<Option<ChaosConfig>>,
     /// Optional process-level record sink (the CLI's `--out` JSONL file);
@@ -298,7 +295,6 @@ impl Engine {
             root_seed: config.root_seed,
             budget: Mutex::new(config.budget),
             jobs: AtomicUsize::new(config.jobs),
-            chunk_threads: AtomicUsize::new(config.chunk_threads),
             retry: Mutex::new(config.retry),
             chaos: Mutex::new(config.chaos),
             sink: Mutex::new(None),
@@ -332,34 +328,6 @@ impl Engine {
                 .unwrap_or(1),
             n => n,
         }
-    }
-
-    /// Sets the intra-node chunk-thread budget each running job may use
-    /// (`0` = auto split against the job worker count; the CLI's
-    /// `--chunk-threads` flag). Never changes results — the chunked
-    /// pipeline is bit-identical at every thread count.
-    pub fn set_chunk_threads(&self, chunk_threads: usize) {
-        self.chunk_threads.store(chunk_threads, Ordering::Relaxed);
-    }
-
-    /// The effective per-job intra-node chunk-thread budget, resolved
-    /// through [`ScopedPool`]: an explicit override wins, otherwise the
-    /// machine's cores are divided by [`Engine::jobs`] so job-level and
-    /// chunk-level parallelism together never oversubscribe.
-    pub fn chunk_threads(&self) -> usize {
-        ScopedPool::new(self.jobs(), self.chunk_threads.load(Ordering::Relaxed)).chunk_threads()
-    }
-
-    /// Builds the chunked codec for `spec` with this engine's intra-node
-    /// thread budget applied — the entry point `DatasetSpec` evaluation
-    /// should use so `--jobs` and `--chunk-threads` compose.
-    pub fn chunked_codec_for(
-        &self,
-        spec: &DatasetSpec,
-        chunk_rows: usize,
-        store: anoncmp_microdata::chunked::ChunkStore,
-    ) -> anoncmp_microdata::error::Result<anoncmp_microdata::chunked::ChunkedCodec> {
-        spec.chunked_codec_with_threads(chunk_rows, store, self.chunk_threads())
     }
 
     /// Sets (or clears) the per-job wall-clock budget.

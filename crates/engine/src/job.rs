@@ -21,12 +21,10 @@ use anoncmp_core::prelude::{
     GeneralizationLoss, IyengarUtility, NeighborhoodRisk, Precision, Property, PropertyVector,
     SensitiveValueCount,
 };
-use anoncmp_datagen::census::{census_schema, generate, CensusConfig, CensusRows};
-use anoncmp_datagen::healthcare::{
-    generate_hospital, hospital_schema, HospitalConfig, HospitalRows,
-};
+use anoncmp_datagen::census::{generate, CensusConfig};
+use anoncmp_datagen::healthcare::{generate_hospital, HospitalConfig};
 use anoncmp_microdata::numeric::NumericRelease;
-use anoncmp_microdata::prelude::{AnonymizedTable, ChunkStore, ChunkedCodec, Dataset, Value};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Value};
 use serde::Serialize;
 
 use crate::fingerprint::Fingerprinter;
@@ -140,72 +138,6 @@ impl DatasetSpec {
             DatasetSpec::Census { rows, .. } | DatasetSpec::Hospital { rows, .. } => *rows,
             DatasetSpec::Inline { dataset, .. } => dataset.len(),
         }
-    }
-
-    /// Builds an out-of-core chunked codec for the spec without ever
-    /// materializing the full dataset: synthetic specs stream their rows
-    /// straight from the generator (peak memory O(chunk + classes)),
-    /// inline specs re-stream the rows they already hold.
-    pub fn chunked_codec(
-        &self,
-        chunk_rows: usize,
-        store: ChunkStore,
-    ) -> anoncmp_microdata::error::Result<ChunkedCodec> {
-        self.chunked_codec_with_threads(chunk_rows, store, 1)
-    }
-
-    /// [`DatasetSpec::chunked_codec`] with an explicit intra-node thread
-    /// budget: the build itself (dictionary collection and encode+flush)
-    /// runs on up to `threads` workers, and the returned codec carries the
-    /// budget for its later partition / extraction passes. Results are
-    /// bit-identical at every thread count; `0` means one per CPU. The
-    /// engine resolves the budget via
-    /// [`Engine::chunked_codec_for`](crate::engine::Engine::chunked_codec_for)
-    /// so job-level and chunk-level parallelism share the cores.
-    pub fn chunked_codec_with_threads(
-        &self,
-        chunk_rows: usize,
-        store: ChunkStore,
-        threads: usize,
-    ) -> anoncmp_microdata::error::Result<ChunkedCodec> {
-        let codec = match self {
-            DatasetSpec::Census {
-                rows,
-                seed,
-                zip_pool,
-            } => {
-                let config = CensusConfig {
-                    rows: *rows,
-                    seed: *seed,
-                    zip_pool: *zip_pool,
-                };
-                ChunkedCodec::from_rows_parallel(
-                    census_schema(config.zip_pool),
-                    || CensusRows::new(&config),
-                    chunk_rows,
-                    store,
-                    threads,
-                )
-            }
-            DatasetSpec::Hospital { rows, seed } => {
-                let config = HospitalConfig {
-                    rows: *rows,
-                    seed: *seed,
-                };
-                ChunkedCodec::from_rows_parallel(
-                    hospital_schema(),
-                    || HospitalRows::new(&config),
-                    chunk_rows,
-                    store,
-                    threads,
-                )
-            }
-            DatasetSpec::Inline { dataset, .. } => {
-                ChunkedCodec::from_dataset_in(dataset, chunk_rows, store)
-            }
-        }?;
-        codec.set_threads(threads);
-        Ok(codec)
     }
 
     /// Synthesizes (or unwraps) the dataset. Deterministic in the spec.
@@ -809,38 +741,6 @@ mod tests {
             .materialize(),
         );
         assert_eq!(inline.rows(), 30);
-    }
-
-    #[test]
-    fn chunked_codec_matches_materialized_codec() {
-        use anoncmp_microdata::prelude::GenCodec;
-        for spec in [
-            DatasetSpec::Census {
-                rows: 120,
-                seed: 5,
-                zip_pool: 10,
-            },
-            DatasetSpec::Hospital { rows: 90, seed: 3 },
-        ] {
-            let node: Vec<usize> = match &spec {
-                DatasetSpec::Census { .. } => vec![2, 2, 1, 1, 1, 0],
-                _ => vec![2, 2, 1, 1],
-            };
-            let expected = GenCodec::new(&spec.materialize())
-                .unwrap()
-                .partition(&node)
-                .unwrap();
-            let chunked = spec.chunked_codec(37, ChunkStore::Memory).unwrap();
-            assert_eq!(chunked.rows(), spec.rows());
-            let got = chunked.partition(&node).unwrap();
-            assert_eq!(got.sizes(), expected.sizes(), "{}", spec.label());
-            assert_eq!(
-                got.representatives(),
-                expected.representatives(),
-                "{}",
-                spec.label()
-            );
-        }
     }
 
     #[test]

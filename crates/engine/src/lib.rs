@@ -71,7 +71,6 @@ pub mod engine;
 pub mod fingerprint;
 pub mod job;
 pub mod journal;
-pub mod pool;
 pub mod record;
 
 pub use crate::cache::{CacheStats, LruCache, MemoCache};
@@ -84,7 +83,6 @@ pub use crate::engine::{
 };
 pub use crate::job::{AlgorithmSpec, DatasetSpec, EvalJob, PropertySpec};
 pub use crate::journal::{Journal, Replay, ShardMeta};
-pub use crate::pool::ScopedPool;
 pub use crate::record::{
     AttemptFailure, EvalRecord, JobStatus, PropertySummary, QuarantineRecord, ReleaseMetrics,
 };
@@ -101,7 +99,6 @@ pub mod prelude {
     };
     pub use crate::job::{AlgorithmSpec, DatasetSpec, EvalJob, PropertySpec};
     pub use crate::journal::{Journal, Replay, ShardMeta};
-    pub use crate::pool::ScopedPool;
     pub use crate::record::{
         AttemptFailure, EvalRecord, JobStatus, PropertySummary, QuarantineRecord, ReleaseMetrics,
     };

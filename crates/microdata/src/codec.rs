@@ -478,27 +478,6 @@ impl GenCodec {
     }
 }
 
-/// Bit-shift layout for packing one row's per-column codes into a `u64`,
-/// if the per-column code widths fit: `shifts[i]` is the bit offset of
-/// column `i`. Widths derive from the **global** dictionary sizes, so the
-/// layout — and therefore every packed key — is independent of how rows
-/// are chunked. Shared by [`EncodedView`] and the chunked store so both
-/// paths key rows identically.
-pub(crate) fn packing_shifts(dict_sizes: &[u32]) -> Option<Vec<u32>> {
-    let mut shifts = Vec::with_capacity(dict_sizes.len());
-    let mut used = 0u32;
-    for &size in dict_sizes {
-        let bits = u32::BITS - size.max(1).saturating_sub(1).leading_zeros();
-        let bits = bits.max(1);
-        if used + bits > 64 {
-            return None;
-        }
-        shifts.push(used);
-        used += bits;
-    }
-    Some(shifts)
-}
-
 /// A lattice node as per-column `u32` code slices: the allocation-free
 /// evaluation form of a full-domain recoding (or of a projection onto a
 /// subset of the quasi-identifiers).
@@ -525,7 +504,18 @@ impl EncodedView<'_> {
     /// per-column code widths fit. `shifts[i]` is the bit offset of column
     /// `i`.
     fn packing(&self) -> Option<Vec<u32>> {
-        packing_shifts(&self.dict_sizes)
+        let mut shifts = Vec::with_capacity(self.dict_sizes.len());
+        let mut used = 0u32;
+        for &size in &self.dict_sizes {
+            let bits = u32::BITS - size.max(1).saturating_sub(1).leading_zeros();
+            let bits = bits.max(1);
+            if used + bits > 64 {
+                return None;
+            }
+            shifts.push(used);
+            used += bits;
+        }
+        Some(shifts)
     }
 
     /// Packs row `row`'s codes into a single `u64` key under `shifts`.
@@ -665,19 +655,6 @@ pub struct NodePartition {
 }
 
 impl NodePartition {
-    /// Assembles a partition from parts produced elsewhere (the chunked
-    /// store's streaming grouping pass). Callers must supply sizes and
-    /// representatives in first-appearance order, exactly as
-    /// [`EncodedView::sizes_and_reps`] would number them.
-    pub(crate) fn from_parts(levels: LevelVector, sizes: Vec<u32>, reps: Vec<u32>) -> Self {
-        NodePartition {
-            levels,
-            sizes,
-            reps,
-            assignments: OnceLock::new(),
-        }
-    }
-
     /// The level vector this partition belongs to.
     pub fn levels(&self) -> &[usize] {
         &self.levels
@@ -718,21 +695,6 @@ impl NodePartition {
             let view = codec.view(&self.levels).expect("levels validated above");
             view.class_ids()
         }))
-    }
-
-    /// Like [`NodePartition::class_ids`], but computed by streaming the
-    /// chunked store — the per-row ids are materialized (O(rows), the one
-    /// deliberate exception to the chunked path's O(chunk + classes)
-    /// budget) and cached exactly as the monolithic variant caches them.
-    ///
-    /// # Errors
-    /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
-    pub fn class_ids_chunked(&self, codec: &crate::chunked::ChunkedCodec) -> Result<&[u32]> {
-        if let Some(ids) = self.assignments.get() {
-            return Ok(ids);
-        }
-        let ids = codec.class_ids(&self.levels)?;
-        Ok(self.assignments.get_or_init(|| ids))
     }
 
     /// Number of tuples in classes smaller than `k` — the tuples a

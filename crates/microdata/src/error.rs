@@ -54,8 +54,6 @@ pub enum Error {
     /// Dataset-level invariant violation (e.g. empty dataset where tuples
     /// are required).
     InvalidDataset(String),
-    /// Failure reading or writing a spilled column file (chunked store).
-    Io(String),
 }
 
 impl fmt::Display for Error {
@@ -91,7 +89,6 @@ impl fmt::Display for Error {
             }
             Error::Parse { line, detail } => write!(f, "parse error at line {line}: {detail}"),
             Error::InvalidDataset(msg) => write!(f, "invalid dataset: {msg}"),
-            Error::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
 }

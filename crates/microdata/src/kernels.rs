@@ -1,8 +1,8 @@
-//! Branch-free gather kernels over contiguous `u32`/`f64` slices.
+//! Branch-free gather kernels from `u32` code slices into `f64` slices.
 //!
-//! The encoded hot loops — code re-keying, loss/precision scatters,
-//! discernibility penalties — all reduce to the same primitive: walk a
-//! dense `u32` code slice and gather a per-code term into an output slice.
+//! The encoded loss kernels — loss/precision scatters and discernibility
+//! penalties — reduce to the same primitive: walk a dense `u32` code
+//! slice and gather a per-code term into an output slice.
 //! Written naively (`out[i] += terms[codes[i] as usize]`), every iteration
 //! carries a bounds check whose branch the autovectorizer refuses to hoist.
 //!
@@ -52,34 +52,6 @@ fn validate_codes(codes: &[u32], len: usize, what: &str) {
             (max as usize) < len,
             "{what}: code {max} out of range for table of {len}"
         );
-    }
-}
-
-/// Re-keying gather: `out[i] = table[codes[i]]` for every `i`.
-///
-/// This is the chunk-at-a-time level-mapping kernel: `codes` are raw codes,
-/// `table` is a per-level code map, `out` receives the generalized codes.
-///
-/// # Panics
-/// If `out` and `codes` differ in length, or any code is out of range.
-pub fn gather_u32(out: &mut [u32], codes: &[u32], table: &[u32]) {
-    assert_eq!(out.len(), codes.len(), "gather_u32: length mismatch");
-    validate_codes(codes, table.len(), "gather_u32");
-    let mut out_blocks = out.chunks_exact_mut(LANES);
-    let mut code_blocks = codes.chunks_exact(LANES);
-    for (ob, cb) in (&mut out_blocks).zip(&mut code_blocks) {
-        for (o, &c) in ob.iter_mut().zip(cb) {
-            // SAFETY: validate_codes proved every code < table.len().
-            *o = unsafe { *table.get_unchecked(c as usize) };
-        }
-    }
-    for (o, &c) in out_blocks
-        .into_remainder()
-        .iter_mut()
-        .zip(code_blocks.remainder())
-    {
-        // SAFETY: as above.
-        *o = unsafe { *table.get_unchecked(c as usize) };
     }
 }
 
@@ -146,16 +118,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gather_u32_matches_naive() {
-        let codes: Vec<u32> = (0..37).map(|i| (i * 7) % 5).collect();
-        let table = [10u32, 11, 12, 13, 14];
-        let mut out = vec![0u32; codes.len()];
-        gather_u32(&mut out, &codes, &table);
-        let naive: Vec<u32> = codes.iter().map(|&c| table[c as usize]).collect();
-        assert_eq!(out, naive);
-    }
-
-    #[test]
     fn gather_add_f64_matches_naive() {
         let codes: Vec<u32> = (0..41).map(|i| (i * 3) % 4).collect();
         let terms = [0.25, -1.5, 3.75, 0.125];
@@ -180,7 +142,6 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_noops() {
-        gather_u32(&mut [], &[], &[]);
         gather_add_f64(&mut [], &[], &[]);
         gather_f64(&mut [], &[], &[]);
     }
@@ -188,14 +149,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_code_panics_before_the_loop() {
-        let mut out = vec![0u32; 3];
-        gather_u32(&mut out, &[0, 5, 1], &[1, 2]);
+        let mut out = vec![0.0; 3];
+        gather_f64(&mut out, &[0, 5, 1], &[1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        let mut out = vec![0u32; 2];
-        gather_u32(&mut out, &[0, 1, 2], &[1, 2, 3]);
+        let mut out = vec![0.0; 2];
+        gather_f64(&mut out, &[0, 1, 2], &[1.0, 2.0, 3.0]);
     }
 }

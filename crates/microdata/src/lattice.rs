@@ -303,21 +303,6 @@ impl Lattice {
         self.validate(levels)?;
         codec.partition(levels)
     }
-
-    /// Like [`Lattice::evaluate_node`], but streaming the out-of-core
-    /// chunked store — bit-identical partitions at O(chunk + classes)
-    /// peak memory.
-    ///
-    /// # Errors
-    /// As [`Lattice::validate`]; propagates codec and spill-file errors.
-    pub fn evaluate_node_chunked(
-        &self,
-        codec: &crate::chunked::ChunkedCodec,
-        levels: &[usize],
-    ) -> Result<NodePartition> {
-        self.validate(levels)?;
-        codec.partition(levels)
-    }
 }
 
 /// Lexicographic iterator over all nodes of a [`Lattice`].

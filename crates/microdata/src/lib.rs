@@ -45,7 +45,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod anonymized;
-pub mod chunked;
 pub mod codec;
 pub mod csv;
 pub mod dataset;
@@ -67,7 +66,6 @@ pub mod value;
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::anonymized::{AnonymizedTable, EquivalenceClasses};
-    pub use crate::chunked::{ChunkStore, ChunkedCodec, ChunkedColumn};
     pub use crate::codec::{EncodedView, GenCodec, NodePartition};
     pub use crate::dataset::{Dataset, DatasetBuilder, DistinctValues};
     pub use crate::error::{Error, Result};
@@ -75,9 +73,8 @@ pub mod prelude {
     pub use crate::intervals::{IntervalLadder, IntervalLevel};
     pub use crate::lattice::{Lattice, LevelVector};
     pub use crate::loss::{
-        discernibility_vector, discernibility_vector_chunked, discernibility_vector_encoded,
-        precision_vector, precision_vector_chunked, precision_vector_encoded, CellLossCache,
-        ColumnSet, CoverageBasis, LossKind, LossMetric,
+        discernibility_vector, discernibility_vector_encoded, precision_vector,
+        precision_vector_encoded, CellLossCache, ColumnSet, CoverageBasis, LossKind, LossMetric,
     };
     pub use crate::numeric::{NumericBase, NumericRelease, Release};
     pub use crate::schema::{Attribute, Domain, Role, Schema};

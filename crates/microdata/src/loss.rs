@@ -23,13 +23,11 @@
 use std::collections::HashMap;
 
 use crate::anonymized::AnonymizedTable;
-use crate::chunked::{ChunkedCodec, TermColumn};
 use crate::codec::{GenCodec, NodePartition};
-use crate::dataset::{Dataset, DistinctValues};
+use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::kernels;
-use crate::parallel;
-use crate::schema::{Domain, Schema};
+use crate::schema::Domain;
 use crate::value::GenValue;
 
 /// Per-row contribution of one column to a per-tuple sum, without
@@ -104,15 +102,9 @@ pub enum ColumnSet {
 
 impl ColumnSet {
     fn resolve(&self, ds: &Dataset) -> Vec<usize> {
-        self.resolve_schema(ds.schema())
-    }
-
-    /// The column indices this set names under `schema` — the schema-only
-    /// resolution the chunked (dataset-free) path uses.
-    pub fn resolve_schema(&self, schema: &Schema) -> Vec<usize> {
         match self {
-            ColumnSet::QuasiIdentifiers => schema.quasi_identifiers().to_vec(),
-            ColumnSet::All => (0..schema.len()).collect(),
+            ColumnSet::QuasiIdentifiers => ds.schema().quasi_identifiers().to_vec(),
+            ColumnSet::All => (0..ds.schema().len()).collect(),
             ColumnSet::Explicit(cols) => cols.clone(),
         }
     }
@@ -174,16 +166,11 @@ impl LossMetric {
     }
 
     /// Number of covered values `|M|` and universe size `|A|` for a cell.
-    fn coverage(
-        &self,
-        schema: &Schema,
-        distinct: &DistinctValues,
-        col: usize,
-        gv: &GenValue,
-    ) -> (f64, f64) {
-        let attr = schema.attribute(col);
+    fn coverage(&self, ds: &Dataset, col: usize, gv: &GenValue) -> (f64, f64) {
+        let attr = ds.schema().attribute(col);
         match self.basis {
             CoverageBasis::DatasetDistinct => {
+                let distinct = ds.distinct(col);
                 let total = distinct.count() as f64;
                 let covered = match gv {
                     GenValue::Int(_) | GenValue::Cat(_) => 1.0,
@@ -241,20 +228,7 @@ impl LossMetric {
 
     /// The loss of one generalized cell, in `[0, 1]`.
     pub fn cell_loss(&self, ds: &Dataset, col: usize, gv: &GenValue) -> f64 {
-        self.cell_loss_parts(ds.schema(), ds.distinct(col), col, gv)
-    }
-
-    /// [`LossMetric::cell_loss`] from its constituent parts — the schema
-    /// and the column's distinct-value summary — so the chunked path can
-    /// evaluate cell losses without a materialized [`Dataset`].
-    pub fn cell_loss_parts(
-        &self,
-        schema: &Schema,
-        distinct: &DistinctValues,
-        col: usize,
-        gv: &GenValue,
-    ) -> f64 {
-        let (covered, total) = self.coverage(schema, distinct, col, gv);
+        let (covered, total) = self.coverage(ds, col, gv);
         match self.kind {
             LossKind::ClassicLm => {
                 match self.basis {
@@ -269,7 +243,7 @@ impl LossMetric {
                     // Domain-based numeric coverage is already a width, so
                     // the ratio is direct; categorical uses (|M|-1)/(|A|-1).
                     CoverageBasis::Domain => {
-                        let attr = schema.attribute(col);
+                        let attr = ds.schema().attribute(col);
                         match attr.domain() {
                             Domain::Categorical { .. } => {
                                 if total <= 1.0 {
@@ -399,75 +373,6 @@ impl LossMetric {
     pub fn total_loss_encoded(&self, codec: &GenCodec, levels: &[usize]) -> Result<f64> {
         Ok(self.loss_vector_encoded(codec, levels)?.iter().sum())
     }
-
-    /// Per-tuple loss vector from the chunked store — the out-of-core
-    /// counterpart of [`LossMetric::loss_vector_encoded`], bit-identical
-    /// to it (and therefore to the materialized path): terms are evaluated
-    /// per distinct generalized value and scattered chunk-at-a-time in the
-    /// same column order, so every row sees the same additions in the same
-    /// order. Only the O(rows) output vector and one chunk of codes are
-    /// resident at a time.
-    ///
-    /// # Errors
-    /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
-    pub fn loss_vector_chunked(&self, codec: &ChunkedCodec, levels: &[usize]) -> Result<Vec<f64>> {
-        codec.validate(levels)?;
-        let schema = codec.schema().clone();
-        let cols = self.columns.resolve_schema(&schema);
-        let mut dim_of: Vec<Option<usize>> = vec![None; schema.len()];
-        for dim in 0..codec.dims() {
-            dim_of[codec.column_of(dim)] = Some(dim);
-        }
-        let specs: Vec<TermColumn> = cols
-            .iter()
-            .map(|&c| match dim_of[c] {
-                Some(dim) => {
-                    let level = levels[dim];
-                    TermColumn::Level {
-                        dim,
-                        level,
-                        terms: codec
-                            .dict(dim, level)
-                            .iter()
-                            .map(|gv| self.cell_loss_parts(&schema, codec.distinct(c), c, gv))
-                            .collect(),
-                    }
-                }
-                None => TermColumn::Raw {
-                    col: c,
-                    terms: codec
-                        .distinct(c)
-                        .values()
-                        .iter()
-                        .map(|v| {
-                            self.cell_loss_parts(&schema, codec.distinct(c), c, &GenValue::raw(*v))
-                        })
-                        .collect(),
-                },
-            })
-            .collect();
-        let mut losses = vec![0.0f64; codec.rows()];
-        codec.scatter_term_columns(&specs, &mut losses)?;
-        Ok(losses)
-    }
-
-    /// Per-tuple utility vector from the chunked store; see
-    /// [`LossMetric::loss_vector_chunked`].
-    ///
-    /// # Errors
-    /// As [`LossMetric::loss_vector_chunked`].
-    pub fn utility_vector_chunked(
-        &self,
-        codec: &ChunkedCodec,
-        levels: &[usize],
-    ) -> Result<Vec<f64>> {
-        let a = self.columns.resolve_schema(codec.schema()).len() as f64;
-        Ok(self
-            .loss_vector_chunked(codec, levels)?
-            .into_iter()
-            .map(|l| a - l)
-            .collect())
-    }
 }
 
 /// Memoizes cell losses per `(column, generalized value)`.
@@ -573,29 +478,6 @@ pub fn discernibility_vector_encoded(
     Ok(out)
 }
 
-/// Chunked-store variant of [`discernibility_vector_encoded`] —
-/// bit-identical penalties gathered through the same branch-free kernel.
-/// This is one of the extractors that needs per-row class ids; those are
-/// materialized (and cached on the partition) via
-/// [`NodePartition::class_ids_chunked`].
-///
-/// # Errors
-/// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
-pub fn discernibility_vector_chunked(
-    codec: &ChunkedCodec,
-    partition: &NodePartition,
-) -> Result<Vec<f64>> {
-    let ids = partition.class_ids_chunked(codec)?;
-    let penalties: Vec<f64> = partition.sizes().iter().map(|&s| f64::from(s)).collect();
-    let mut out = vec![0.0f64; ids.len()];
-    // A pure per-row gather: disjoint spans fill concurrently with no
-    // ordering concerns (see `parallel::fill_spans`).
-    parallel::fill_spans(&mut out, codec.threads(), |base, span| {
-        kernels::gather_f64(span, &ids[base..base + span.len()], &penalties);
-    });
-    Ok(out)
-}
-
 /// Encoded variant of [`precision_vector`]: per-cell `level / max_level`
 /// ratios are evaluated once per distinct generalized value and scattered
 /// through the codec's code columns, accumulating per row in the same
@@ -640,67 +522,6 @@ pub fn precision_vector_encoded(codec: &GenCodec, levels: &[usize]) -> Result<Ve
     }
     let d = cols.len() as f64;
     Ok(acc.into_iter().map(|a| 1.0 - a / d).collect())
-}
-
-/// Chunked-store variant of [`precision_vector_encoded`]: bit-identical
-/// per-cell `level / max_level` terms, scattered chunk-at-a-time through
-/// the branch-free gather kernel in the same column order.
-///
-/// # Errors
-/// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
-pub fn precision_vector_chunked(codec: &ChunkedCodec, levels: &[usize]) -> Result<Vec<f64>> {
-    codec.validate(levels)?;
-    let schema = codec.schema().clone();
-    let cols: Vec<(usize, usize)> = (0..schema.len())
-        .filter_map(|c| schema.attribute(c).hierarchy().map(|h| (c, h.max_level())))
-        .collect();
-    if cols.is_empty() {
-        return Ok(vec![1.0; codec.rows()]);
-    }
-    let mut dim_of: Vec<Option<usize>> = vec![None; schema.len()];
-    for dim in 0..codec.dims() {
-        dim_of[codec.column_of(dim)] = Some(dim);
-    }
-    let specs: Vec<TermColumn> = cols
-        .iter()
-        .map(|&(c, max)| {
-            let h = schema.attribute(c).hierarchy().expect("filtered above");
-            match dim_of[c] {
-                Some(dim) => {
-                    let level = levels[dim];
-                    TermColumn::Level {
-                        dim,
-                        level,
-                        terms: codec
-                            .dict(dim, level)
-                            .iter()
-                            .map(|gv| h.level_of(gv).unwrap_or(max) as f64 / max as f64)
-                            .collect(),
-                    }
-                }
-                None => TermColumn::Raw {
-                    col: c,
-                    terms: codec
-                        .distinct(c)
-                        .values()
-                        .iter()
-                        .map(|v| h.level_of(&GenValue::raw(*v)).unwrap_or(max) as f64 / max as f64)
-                        .collect(),
-                },
-            }
-        })
-        .collect();
-    let mut acc = vec![0.0f64; codec.rows()];
-    codec.scatter_term_columns(&specs, &mut acc)?;
-    let d = cols.len() as f64;
-    let threads = codec.threads();
-    let mut out = acc;
-    parallel::fill_spans(&mut out, threads, |_, span| {
-        for a in span.iter_mut() {
-            *a = 1.0 - *a / d;
-        }
-    });
-    Ok(out)
 }
 
 #[cfg(test)]

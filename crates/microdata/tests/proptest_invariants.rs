@@ -187,6 +187,14 @@ proptest! {
                 }
             }
         }
+        // Stepping the codec's fine partition along the lattice edge must
+        // reproduce the coarse node's from-scratch partition exactly.
+        let codec = GenCodec::new(&ds).expect("every QI has a hierarchy");
+        let fine_part = codec.partition(&[l0, l1]).expect("levels");
+        let stepped = codec.coarsen(&fine_part, &[l0 + 1, l1 + 1]).expect("nested step");
+        let fresh = codec.partition(&[l0 + 1, l1 + 1]).expect("levels");
+        prop_assert_eq!(stepped.sizes(), fresh.sizes());
+        prop_assert_eq!(stepped.representatives(), fresh.representatives());
     }
 
     #[test]
@@ -206,6 +214,19 @@ proptest! {
         prop_assert!(h.same_partition(&s));
         prop_assert!(c.same_partition(&h));
         prop_assert!(c.same_partition(&s));
+        // The codec's node partition numbers classes in first-appearance
+        // order, exactly as the hash grouping does.
+        let p = codec.partition(&[l0, l1]).expect("valid levels");
+        let ids = p.class_ids(&codec).expect("levels fit the codec");
+        prop_assert_eq!(p.class_count(), h.class_count());
+        for (t, &id) in ids.iter().enumerate() {
+            prop_assert_eq!(id as usize, h.class_of(t));
+        }
+        for class in 0..h.class_count() {
+            let members = h.members(class);
+            prop_assert_eq!(p.sizes()[class] as usize, members.len());
+            prop_assert_eq!(p.representatives()[class], members[0]);
+        }
     }
 
     #[test]

@@ -141,9 +141,8 @@ fn dataset_spec(dataset: WireDataset, limits: &RequestLimits) -> Result<DatasetS
         },
         WireDataset::Hospital { rows, seed } => DatasetSpec::Hospital { rows, seed },
     };
-    // Admission control reads the spec's declared row count — the same
-    // count the chunked codec streams against — so no rows are ever
-    // generated for a request that gets refused here.
+    // Admission control reads the spec's declared row count, so no rows
+    // are ever generated for a request that gets refused here.
     let rows = spec.rows();
     if rows == 0 {
         return Err(PlanError::Invalid(

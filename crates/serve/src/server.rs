@@ -5,11 +5,11 @@
 //! One acceptor thread polls a nonblocking listener so it can also watch
 //! the shutdown flag; `threads` worker threads pop admitted connections
 //! from a bounded [`Queue`] and serve them to completion. Admission
-//! control sits between the two: every connection holds a
-//! [`Permit`](crate::admission::Permit) from accept to close, and when
-//! all permits are out the acceptor answers `429 overloaded` immediately
-//! instead of queueing — bounded in-flight work is what keeps the warm
-//! cache's tail latency flat under overload.
+//! control sits between the two: every connection holds a [`Permit`]
+//! from accept to close, and when all permits are out the acceptor
+//! answers `429 overloaded` immediately instead of queueing — bounded
+//! in-flight work is what keeps the warm cache's tail latency flat under
+//! overload.
 //!
 //! # Determinism
 //!
@@ -64,8 +64,8 @@ pub struct ServeConfig {
     pub response_capacity: usize,
     /// Worker threads *inside* the engine per sweep (`0` = one per CPU).
     pub engine_jobs: usize,
-    /// Intra-node chunk threads each running sweep job may use (`0` =
-    /// auto split against `engine_jobs`; never changes response bytes).
+    /// Unused: nothing reads it. Kept so existing struct literals that
+    /// name it still compile.
     pub chunk_threads: usize,
     /// Root seed for the engine (fixed default keeps responses canonical
     /// across restarts).
@@ -145,7 +145,6 @@ impl Inner {
             rejected_total: self.rejected_total.load(Ordering::Relaxed),
             inflight: self.admission.inflight() as u64,
             threads: self.threads as u64,
-            chunk_threads: self.engine.chunk_threads() as u64,
             uptime_ms: self.started.elapsed().as_millis() as u64,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -240,7 +239,6 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
     };
     let engine = Engine::new(EngineConfig {
         jobs: config.engine_jobs,
-        chunk_threads: config.chunk_threads,
         root_seed: config.root_seed,
         release_capacity: config.release_capacity,
         vector_capacity: config.vector_capacity,

@@ -53,13 +53,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let result = match command.as_str() {
-        "demo" => demo(),
-        "anonymize" => with_options(rest, anonymize),
-        "compare" => with_options(rest, compare),
-        "frontier" => with_options(rest, frontier),
-        "risk" => with_options(rest, risk),
-        "serve" => with_options(rest, serve_daemon),
-        "dist" => with_options(rest, dist),
+        "demo" => with_options(command, rest, &[], |_| demo()),
+        "anonymize" => with_options(command, rest, ANONYMIZE_OPTIONS, anonymize),
+        "compare" => with_options(command, rest, COMPARE_OPTIONS, compare),
+        "frontier" => with_options(command, rest, INPUT_OPTIONS, frontier),
+        "risk" => with_options(command, rest, RISK_OPTIONS, risk),
+        "serve" => with_options(command, rest, SERVE_OPTIONS, serve_daemon),
+        "dist" => with_options(command, rest, DIST_OPTIONS, dist),
         "dist-worker" => dist_worker(),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -103,9 +103,6 @@ serve options:
   --vector-cap N      vector-cache LRU capacity, 0 = unbounded (default 1024)
   --response-cap N    response-cache LRU capacity, 0 = unbounded (default 256)
   --engine-jobs N     engine workers per sweep (default: one per CPU)
-  --chunk-threads N   intra-job chunk worker threads (default: cores / jobs,
-                      so `--engine-jobs 8` never oversubscribes; also a
-                      `compare` option); never changes output bytes
   --max-rows N        largest synthesizable dataset per request (default 20000)
 dist options:
   --dir DIR           working directory for spec/journals/merge (default anoncmp-dist)
@@ -124,6 +121,50 @@ dist options:
                       stalled, killed, and its shard reassigned (default 10000)
   --chaos-seed N      worker-loss drill: abort the largest shard's first
                       worker after a seed-derived number of journal appends";
+
+// The options each command reads; any other option is refused.
+const INPUT_OPTIONS: &[&str] = &["input", "qi", "sensitive"];
+const ANONYMIZE_OPTIONS: &[&str] = &["input", "qi", "sensitive", "k", "max-sup", "algo", "output"];
+const COMPARE_OPTIONS: &[&str] = &[
+    "input",
+    "qi",
+    "sensitive",
+    "k",
+    "max-sup",
+    "jobs",
+    "methods",
+    "resume",
+    "max-retries",
+    "chaos-seed",
+];
+const RISK_OPTIONS: &[&str] = &["input", "qi", "sensitive", "threshold"];
+const SERVE_OPTIONS: &[&str] = &[
+    "addr",
+    "threads",
+    "max-inflight",
+    "release-cap",
+    "vector-cap",
+    "response-cap",
+    "engine-jobs",
+    "max-rows",
+];
+const DIST_OPTIONS: &[&str] = &[
+    "dir",
+    "workers",
+    "shards",
+    "dataset",
+    "rows",
+    "seed",
+    "zip-pool",
+    "ks",
+    "algos",
+    "props",
+    "max-sup",
+    "engine-jobs",
+    "resume",
+    "stall-timeout-ms",
+    "chaos-seed",
+];
 
 /// Parsed `--key value` options.
 struct Options(BTreeMap<String, String>);
@@ -153,13 +194,26 @@ impl Options {
     }
 }
 
-fn with_options(rest: &[String], run: fn(&Options) -> Result<(), String>) -> Result<(), String> {
+/// Parses `rest` as `--key value` pairs and runs `command` on them. A key
+/// outside `accepted` is refused before any work starts, so a misspelled
+/// option is an error rather than silently ignored.
+fn with_options(
+    command: &str,
+    rest: &[String],
+    accepted: &[&str],
+    run: fn(&Options) -> Result<(), String>,
+) -> Result<(), String> {
     let mut map = BTreeMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let key = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected an --option, got '{flag}'"))?;
+        if !accepted.contains(&key) {
+            return Err(format!(
+                "unknown option --{key} for `{command}` (see `anoncmp --help`)"
+            ));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("--{key} needs a value"))?
@@ -268,7 +322,6 @@ fn compare(opts: &Options) -> Result<(), String> {
     let max_sup = opts.usize_or("max-sup", dataset.len() / 20)?;
     let engine = Engine::global();
     engine.set_jobs(opts.usize_or("jobs", 0)?);
-    engine.set_chunk_threads(opts.usize_or("chunk-threads", 0)?);
 
     if let Some(seed) = opts.get("chaos-seed") {
         let seed: u64 = seed.parse().map_err(|e| format!("--chaos-seed: {e}"))?;
@@ -534,7 +587,6 @@ fn serve_daemon(opts: &Options) -> Result<(), String> {
         vector_capacity: opts.usize_or("vector-cap", 1024)?,
         response_capacity: opts.usize_or("response-cap", 256)?,
         engine_jobs: opts.usize_or("engine-jobs", 0)?,
-        chunk_threads: opts.usize_or("chunk-threads", 0)?,
         ..ServeConfig::default()
     };
     config.limits.max_rows = opts.usize_or("max-rows", config.limits.max_rows)?;
