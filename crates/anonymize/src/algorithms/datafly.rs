@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::{FullDomain, Verdict};
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
 /// The Datafly algorithm.
 ///
@@ -37,29 +38,14 @@ impl Datafly {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
-        validate_common(dataset, constraint)?;
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
-        let fast = constraint.is_frequency_only();
+        let fd = FullDomain::new(dataset, constraint, "datafly")?;
+        let (lattice, codec) = (fd.lattice(), fd.codec());
         let mut levels = lattice.bottom();
         loop {
-            // Pure-k constraints are decided from encoded class sizes; a
-            // table is materialized only for the accepted node. Extra
-            // models need the actual table every round.
-            if fast {
-                if constraint.feasible_partition(&lattice.evaluate_node(&codec, &levels)?) {
-                    let table = lattice.apply_encoded(&codec, &levels, "datafly")?;
-                    let done = constraint
-                        .enforce(&table)
-                        .expect("frequency-set feasibility guarantees enforcement");
-                    return Ok((done, levels));
-                }
-            } else {
-                let table = lattice.apply_encoded(&codec, &levels, "datafly")?;
-                if let Some(done) = constraint.enforce(&table) {
-                    return Ok((done, levels));
-                }
-            }
+            let violating = match fd.judge(&levels)? {
+                Verdict::Feasible(done) => return Ok((done, levels)),
+                Verdict::Infeasible(violating) => violating,
+            };
             // Generalize the attribute with the most distinct generalized
             // values among those not yet at their maximum level. The
             // codec's per-(dimension, level) dictionary size IS that
@@ -78,17 +64,8 @@ impl Datafly {
             match best {
                 Some((dim, _)) => levels[dim] += 1,
                 None => {
-                    let violating = if fast {
-                        lattice
-                            .evaluate_node(&codec, &levels)?
-                            .tuples_below(constraint.k)
-                    } else {
-                        let table = lattice.apply_encoded(&codec, &levels, "datafly")?;
-                        constraint.violating_tuples(&table)
-                    };
-                    return Err(AnonymizeError::Unsatisfiable(format!(
-                        "even full generalization leaves {violating} tuples violating {}",
-                        constraint.describe()
+                    return Err(fd.unsatisfiable(&format!(
+                        "even full generalization leaves {violating} tuples violating"
                     )));
                 }
             }
@@ -113,6 +90,7 @@ impl Anonymizer for Datafly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
     use std::sync::Arc as StdArc;
 
     use crate::algorithms::test_support::small_census;

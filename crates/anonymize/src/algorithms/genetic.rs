@@ -15,10 +15,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Lattice, LevelVector};
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::{FullDomain, Verdict};
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
 use crate::error::{AnonymizeError, Result};
 
@@ -64,21 +64,10 @@ impl Default for GeneticConfig {
 }
 
 /// The genetic lattice search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Genetic {
     /// Search configuration.
     pub config: GeneticConfig,
-    /// Loss metric defining the fitness of feasible individuals.
-    pub metric: LossMetric,
-}
-
-impl Default for Genetic {
-    fn default() -> Self {
-        Genetic {
-            config: GeneticConfig::default(),
-            metric: LossMetric::classic(),
-        }
-    }
 }
 
 struct Evaluated {
@@ -88,38 +77,23 @@ struct Evaluated {
 }
 
 impl Genetic {
-    fn evaluate(
-        &self,
-        lattice: &Lattice,
-        dataset: &Arc<Dataset>,
-        constraint: &Constraint,
-        levels: LevelVector,
-    ) -> Result<Evaluated> {
-        let table = lattice.apply(dataset, &levels, "genetic")?;
-        match constraint.enforce(&table) {
-            Some(enforced) => {
-                let fitness = -self.metric.total_loss(&enforced);
-                Ok(Evaluated {
-                    levels,
-                    fitness,
-                    feasible: Some(enforced),
-                })
-            }
-            None => {
+    fn evaluate(fd: &FullDomain<'_>, levels: LevelVector) -> Result<Evaluated> {
+        let (fitness, feasible) = match fd.judge(&levels)? {
+            Verdict::Feasible(enforced) => (-fd.loss(&enforced), Some(enforced)),
+            Verdict::Infeasible(violating) => {
                 // Infeasible: rank below every feasible individual, better
                 // when fewer tuples violate.
-                let viol = constraint.violating_tuples(&table) as f64;
-                let n = dataset.len() as f64;
-                let a = dataset.schema().quasi_identifiers().len() as f64;
+                let n = fd.codec().rows() as f64;
+                let a = fd.codec().dims() as f64;
                 // Worst feasible fitness is -(loss ≤ a per tuple) ≥ -a·n.
-                let fitness = -a * n - viol;
-                Ok(Evaluated {
-                    levels,
-                    fitness,
-                    feasible: None,
-                })
+                (-a * n - violating as f64, None)
             }
-        }
+        };
+        Ok(Evaluated {
+            levels,
+            fitness,
+            feasible,
+        })
     }
 
     fn mutate(&self, rng: &mut StdRng, lattice: &Lattice, levels: &mut LevelVector) {
@@ -159,52 +133,44 @@ impl Genetic {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, LevelVector)> {
-        validate_common(dataset, constraint)?;
-        if self.config.population < 2 || self.config.tournament == 0 {
-            return Err(AnonymizeError::InvalidConfig(
-                "population must be ≥ 2 and tournament ≥ 1".into(),
-            ));
-        }
-        let lattice = Lattice::new(dataset.schema().clone())?;
+        let problem = (self.config.population < 2 || self.config.tournament == 0)
+            .then_some("population must be ≥ 2 and tournament ≥ 1");
+        let fd = FullDomain::with_config(dataset, constraint, "genetic", problem)?;
+        let lattice = fd.lattice();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // Initial population: random nodes plus the top (always feasible
         // for monotone constraints, anchoring the feasible side).
         let mut population: Vec<Evaluated> = Vec::with_capacity(self.config.population);
-        population.push(self.evaluate(&lattice, dataset, constraint, lattice.top())?);
+        population.push(Self::evaluate(&fd, lattice.top())?);
         while population.len() < self.config.population {
             let levels: LevelVector = lattice
                 .max_levels()
                 .iter()
                 .map(|&m| rng.gen_range(0..=m))
                 .collect();
-            population.push(self.evaluate(&lattice, dataset, constraint, levels)?);
+            population.push(Self::evaluate(&fd, levels)?);
         }
 
         let mut best_idx = Self::best_index(&population);
         for _ in 0..self.config.generations {
             let mut next: Vec<Evaluated> = Vec::with_capacity(self.config.population);
             // Elitism: carry the best individual forward unchanged.
-            next.push(self.evaluate(
-                &lattice,
-                dataset,
-                constraint,
-                population[best_idx].levels.clone(),
-            )?);
+            next.push(Self::evaluate(&fd, population[best_idx].levels.clone())?);
             while next.len() < self.config.population {
                 let a = self.select(&mut rng, &population);
                 let b = self.select(&mut rng, &population);
                 let mut child = self.cross(&mut rng, &population[a].levels, &population[b].levels);
-                self.mutate(&mut rng, &lattice, &mut child);
-                next.push(self.evaluate(&lattice, dataset, constraint, child)?);
+                self.mutate(&mut rng, lattice, &mut child);
+                next.push(Self::evaluate(&fd, child)?);
             }
             population = next;
             best_idx = Self::best_index(&population);
         }
 
-        let best = &population[best_idx];
-        match &best.feasible {
-            Some(table) => Ok((table.clone().renamed("genetic"), best.levels.clone())),
+        let best = population.swap_remove(best_idx);
+        match best.feasible {
+            Some(table) => Ok((table, best.levels)),
             None => Err(AnonymizeError::Unsatisfiable(format!(
                 "no feasible individual found for {} (the constraint may be \
                  unsatisfiable even at the lattice top)",
@@ -258,6 +224,7 @@ impl Anonymizer for Genetic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anoncmp_microdata::loss::LossMetric;
 
     use crate::algorithms::test_support::small_census;
 
@@ -268,7 +235,6 @@ mod tests {
                 generations: 12,
                 ..Default::default()
             },
-            ..Default::default()
         }
     }
 
@@ -305,7 +271,6 @@ mod tests {
                     crossover,
                     ..Default::default()
                 },
-                ..Default::default()
             };
             let t = ga.anonymize(&ds, &c).unwrap();
             assert!(c.satisfied(&t));
@@ -332,7 +297,6 @@ mod tests {
                 population: 1,
                 ..Default::default()
             },
-            ..Default::default()
         };
         assert!(matches!(
             ga.anonymize(&ds, &Constraint::k_anonymity(2)),

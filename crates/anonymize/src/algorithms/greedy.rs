@@ -13,27 +13,17 @@
 
 use std::sync::Arc;
 
-use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Lattice};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::FullDomain;
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
-/// The greedy ratio-driven recoder.
-#[derive(Debug, Clone)]
-pub struct GreedyRecoder {
-    /// Loss metric steering the ratio (loss increase denominator).
-    pub metric: LossMetric,
-}
-
-impl Default for GreedyRecoder {
-    fn default() -> Self {
-        GreedyRecoder {
-            metric: LossMetric::classic(),
-        }
-    }
-}
+/// The greedy ratio-driven recoder. The classic loss is the ratio's
+/// denominator.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyRecoder;
 
 impl GreedyRecoder {
     /// Runs the recoder, also returning the final level vector.
@@ -42,22 +32,23 @@ impl GreedyRecoder {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
-        validate_common(dataset, constraint)?;
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let mut levels = lattice.bottom();
-        let mut current = lattice.apply(dataset, &levels, "greedy")?;
+        let fd = FullDomain::new(dataset, constraint, "greedy")?;
+        // The ratio scores un-enforced tables, so every step decodes its
+        // candidates and measures them before any suppression.
+        let mut levels = fd.lattice().bottom();
+        let mut current = fd.decode(&levels)?;
         let mut current_viol = constraint.violating_tuples(&current);
-        let mut current_loss = self.metric.total_loss(&current);
+        let mut current_loss = fd.loss(&current);
         loop {
             if let Some(done) = constraint.enforce(&current) {
                 return Ok((done, levels));
             }
             // Evaluate every single-step generalization.
             let mut best: Option<(f64, Vec<usize>, AnonymizedTable, usize, f64)> = None;
-            for succ in lattice.successors(&levels) {
-                let table = lattice.apply(dataset, &succ, "greedy")?;
+            for succ in fd.lattice().successors(&levels) {
+                let table = fd.decode(&succ)?;
                 let viol = constraint.violating_tuples(&table);
-                let loss = self.metric.total_loss(&table);
+                let loss = fd.loss(&table);
                 let reduction = current_viol.saturating_sub(viol) as f64;
                 let cost = (loss - current_loss).max(1e-9);
                 let ratio = reduction / cost;
@@ -72,12 +63,7 @@ impl GreedyRecoder {
                     current_viol = viol;
                     current_loss = loss;
                 }
-                None => {
-                    return Err(AnonymizeError::Unsatisfiable(format!(
-                        "top of the lattice still violates {}",
-                        constraint.describe()
-                    )));
-                }
+                None => return Err(fd.unsatisfiable("top of the lattice still violates")),
             }
         }
     }
@@ -100,6 +86,8 @@ impl Anonymizer for GreedyRecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
+    use anoncmp_microdata::prelude::Lattice;
 
     use crate::algorithms::test_support::small_census;
 
@@ -108,7 +96,7 @@ mod tests {
         let ds = small_census();
         for k in [2, 5, 10] {
             let c = Constraint::k_anonymity(k).with_suppression(ds.len() / 10);
-            let t = GreedyRecoder::default().anonymize(&ds, &c).unwrap();
+            let t = GreedyRecoder.anonymize(&ds, &c).unwrap();
             assert!(c.satisfied(&t), "k = {k}");
         }
     }
@@ -117,7 +105,7 @@ mod tests {
     fn run_returns_levels_in_lattice() {
         let ds = small_census();
         let c = Constraint::k_anonymity(3).with_suppression(5);
-        let (t, levels) = GreedyRecoder::default().run(&ds, &c).unwrap();
+        let (t, levels) = GreedyRecoder.run(&ds, &c).unwrap();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
         assert!(lattice.contains(&levels));
         // Applying the reported levels and enforcing reproduces the output
@@ -132,7 +120,7 @@ mod tests {
         let ds = small_census();
         let c = Constraint::k_anonymity(ds.len() + 1);
         assert!(matches!(
-            GreedyRecoder::default().anonymize(&ds, &c),
+            GreedyRecoder.anonymize(&ds, &c),
             Err(AnonymizeError::Unsatisfiable(_))
         ));
     }
@@ -140,9 +128,7 @@ mod tests {
     #[test]
     fn trivial_constraint_returns_raw_release() {
         let ds = small_census();
-        let (t, levels) = GreedyRecoder::default()
-            .run(&ds, &Constraint::k_anonymity(1))
-            .unwrap();
+        let (t, levels) = GreedyRecoder.run(&ds, &Constraint::k_anonymity(1)).unwrap();
         assert_eq!(levels, vec![0; 6]);
         assert_eq!(t.suppressed_count(), 0);
     }

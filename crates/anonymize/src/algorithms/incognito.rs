@@ -14,29 +14,18 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{
     AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector, NodePartition,
 };
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::FullDomain;
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
 /// The bottom-up exhaustive lattice search.
-#[derive(Debug, Clone)]
-pub struct Incognito {
-    /// Preference metric used to choose among the minimal frontier.
-    pub preference: LossMetric,
-}
-
-impl Default for Incognito {
-    fn default() -> Self {
-        Incognito {
-            preference: LossMetric::classic(),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Incognito;
 
 /// Search outcome: the chosen release and the whole minimal frontier.
 #[derive(Debug)]
@@ -54,19 +43,16 @@ pub struct IncognitoOutcome {
 impl Incognito {
     /// Runs the sweep, exposing the minimal frontier and evaluation count.
     pub fn run(&self, dataset: &Arc<Dataset>, constraint: &Constraint) -> Result<IncognitoOutcome> {
-        validate_common(dataset, constraint)?;
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
-        let fast = constraint.is_frequency_only();
+        let fd = FullDomain::new(dataset, constraint, "incognito")?;
+        let lattice = fd.lattice();
 
         // BFS from the bottom. `status` records, per visited node, whether
         // it satisfies; ancestors of satisfying nodes are marked satisfied
-        // without evaluation (anti-monotone pruning). For pure
-        // frequency-set constraints a node is decided from its class sizes
-        // alone — rejected nodes never materialize a table, and their
-        // partitions are kept so successors can be derived incrementally
-        // by re-keying class representatives (`GenCodec::coarsen`) instead
-        // of re-grouping every row.
+        // without evaluation (anti-monotone pruning). Each evaluated node's
+        // partition is derived incrementally by re-keying the class
+        // representatives of a stored predecessor (`GenCodec::coarsen`)
+        // instead of re-grouping every row, and the evaluator judges the
+        // node from it.
         let mut status: HashMap<LevelVector, bool> = HashMap::new();
         let mut partitions: HashMap<LevelVector, NodePartition> = HashMap::new();
         let mut frontier: Vec<LevelVector> = Vec::new();
@@ -84,19 +70,14 @@ impl Incognito {
                 true
             } else {
                 evaluated += 1;
-                if fast {
-                    let part = self.evaluate_incremental(&codec, &partitions, &levels)?;
-                    let ok = constraint.feasible_partition(&part);
-                    if !ok {
-                        // Only violating nodes enqueue successors, so only
-                        // their partitions are worth keeping.
-                        partitions.insert(levels.clone(), part);
-                    }
-                    ok
-                } else {
-                    let table = lattice.apply_encoded(&codec, &levels, "incognito")?;
-                    constraint.enforce(&table).is_some()
+                let part = Self::evaluate_incremental(fd.codec(), &partitions, &levels)?;
+                let ok = fd.feasible(&part)?;
+                if !ok {
+                    // Only violating nodes enqueue successors, so only
+                    // their partitions are worth keeping.
+                    partitions.insert(levels.clone(), part);
                 }
+                ok
             };
             if sat && !dominated {
                 frontier.push(levels.clone());
@@ -111,38 +92,18 @@ impl Incognito {
         drop(partitions);
 
         // Keep only minimal frontier nodes (no other frontier node below).
-        let minimal: Vec<&LevelVector> = frontier
+        let minimal: Vec<LevelVector> = frontier
             .iter()
             .filter(|&cand| !frontier.iter().any(|l| l != cand && Lattice::leq(l, cand)))
+            .cloned()
             .collect();
-        if minimal.is_empty() {
-            return Err(AnonymizeError::Unsatisfiable(format!(
-                "no lattice node satisfies {}",
-                constraint.describe()
-            )));
-        }
-        // Decode and enforce only the minimal frontier — every node in it
-        // is known to satisfy, so enforce cannot fail here.
-        let mut enforced: Vec<(LevelVector, AnonymizedTable)> = Vec::with_capacity(minimal.len());
-        for levels in minimal {
-            let table = lattice.apply_encoded(&codec, levels, "incognito")?;
-            let t = constraint
-                .enforce(&table)
-                .expect("frontier nodes satisfy the constraint");
-            enforced.push((levels.clone(), t));
-        }
-        let (levels, table) = enforced
-            .iter()
-            .min_by(|a, b| {
-                let la = self.preference.total_loss(&a.1);
-                let lb = self.preference.total_loss(&b.1);
-                la.partial_cmp(&lb).expect("losses are not NaN")
-            })
-            .map(|(l, t)| (l.clone(), t.clone().renamed("incognito")))
-            .expect("minimal frontier is non-empty");
-        let frontier_levels: Vec<LevelVector> = enforced.into_iter().map(|(l, _)| l).collect();
+        // Every minimal node is known to satisfy; the evaluator decodes,
+        // enforces and scores each once.
+        let Some((levels, table)) = fd.best(minimal.iter().cloned())? else {
+            return Err(fd.unsatisfiable("no lattice node satisfies"));
+        };
         Ok(IncognitoOutcome {
-            frontier: frontier_levels,
+            frontier: minimal,
             evaluated,
             table,
             levels,
@@ -154,7 +115,6 @@ impl Incognito {
     /// satisfies the class-merge invariant); falls back to grouping from
     /// scratch.
     fn evaluate_incremental(
-        &self,
         codec: &GenCodec,
         partitions: &HashMap<LevelVector, NodePartition>,
         levels: &[usize],
@@ -196,6 +156,8 @@ impl Anonymizer for Incognito {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
+    use anoncmp_microdata::loss::LossMetric;
 
     use crate::algorithms::samarati::Samarati;
     use crate::algorithms::test_support::small_census;
@@ -204,7 +166,7 @@ mod tests {
     fn frontier_nodes_are_minimal_and_satisfying() {
         let ds = small_census();
         let c = Constraint::k_anonymity(3).with_suppression(6);
-        let outcome = Incognito::default().run(&ds, &c).unwrap();
+        let outcome = Incognito.run(&ds, &c).unwrap();
         assert!(c.satisfied(&outcome.table));
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
         for levels in &outcome.frontier {
@@ -227,7 +189,7 @@ mod tests {
         let ds = small_census();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
         let c = Constraint::k_anonymity(3).with_suppression(6);
-        let outcome = Incognito::default().run(&ds, &c).unwrap();
+        let outcome = Incognito.run(&ds, &c).unwrap();
         assert!(
             outcome.evaluated < lattice.node_count(),
             "anti-monotone pruning must skip ancestors"
@@ -241,8 +203,8 @@ mod tests {
         // under the same preference metric.
         let ds = small_census();
         let c = Constraint::k_anonymity(4).with_suppression(6);
-        let inc = Incognito::default().run(&ds, &c).unwrap();
-        let sam = Samarati::default().run(&ds, &c).unwrap();
+        let inc = Incognito.run(&ds, &c).unwrap();
+        let sam = Samarati.run(&ds, &c).unwrap();
         let m = LossMetric::classic();
         assert!(m.total_loss(&inc.table) <= m.total_loss(&sam.table) + 1e-9);
     }
@@ -252,7 +214,7 @@ mod tests {
         let ds = small_census();
         let c = Constraint::k_anonymity(ds.len() + 1);
         assert!(matches!(
-            Incognito::default().anonymize(&ds, &c),
+            Incognito.anonymize(&ds, &c),
             Err(AnonymizeError::Unsatisfiable(_))
         ));
     }
@@ -260,9 +222,7 @@ mod tests {
     #[test]
     fn k_one_frontier_is_the_bottom() {
         let ds = small_census();
-        let outcome = Incognito::default()
-            .run(&ds, &Constraint::k_anonymity(1))
-            .unwrap();
+        let outcome = Incognito.run(&ds, &Constraint::k_anonymity(1)).unwrap();
         assert_eq!(
             outcome.frontier,
             vec![Lattice::new(ds.schema().clone()).unwrap().bottom()]

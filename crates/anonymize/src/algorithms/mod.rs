@@ -21,6 +21,7 @@
 
 pub mod clustering;
 pub mod datafly;
+pub(crate) mod full_domain;
 pub mod genetic;
 pub mod greedy;
 pub mod incognito;

@@ -24,13 +24,11 @@ use anoncmp_core::prelude::{
     ComparisonMatrix, DominanceComparator, EqClassSize, Preference, Property, PropertyVector,
 };
 use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{
-    AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector, NodePartition,
-};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, LevelVector, NodePartition};
 
-use crate::algorithms::validate_common;
+use crate::algorithms::full_domain::FullDomain;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
 /// An objective measured on a candidate release. Higher is better
 /// (workspace convention); invert lower-is-better measurements.
@@ -248,37 +246,33 @@ impl MultiObjectiveGenetic {
     /// solution.
     ///
     /// # Errors
-    /// [`AnonymizeError::InvalidConfig`] for degenerate configurations;
-    /// propagation of lattice errors otherwise.
+    /// [`AnonymizeError::InvalidConfig`](crate::error::AnonymizeError::InvalidConfig)
+    /// for degenerate configurations; propagation of lattice errors
+    /// otherwise.
     pub fn run(&self, dataset: &Arc<Dataset>) -> Result<Vec<ParetoSolution>> {
         // Objectives are unconstrained, so borrow a k = 1 constraint for
         // the shared sanity checks.
-        validate_common(dataset, &Constraint::k_anonymity(1))?;
-        if self.objectives.len() < 2 {
-            return Err(AnonymizeError::InvalidConfig(
-                "multi-objective search needs at least two objectives".into(),
-            ));
-        }
-        if self.config.population < 4 {
-            return Err(AnonymizeError::InvalidConfig(
-                "population must be ≥ 4".into(),
-            ));
-        }
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let unconstrained = Constraint::k_anonymity(1);
+        let problem = if self.objectives.len() < 2 {
+            Some("multi-objective search needs at least two objectives")
+        } else {
+            (self.config.population < 4).then_some("population must be ≥ 4")
+        };
+        let fd = FullDomain::with_config(dataset, &unconstrained, "moga", problem)?;
+        let (lattice, codec) = (fd.lattice(), fd.codec());
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // Initial population: corners plus random nodes.
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population * 2);
-        population.push(self.evaluate(&codec, lattice.bottom())?);
-        population.push(self.evaluate(&codec, lattice.top())?);
+        population.push(self.evaluate(codec, lattice.bottom())?);
+        population.push(self.evaluate(codec, lattice.top())?);
         while population.len() < self.config.population {
             let levels: LevelVector = lattice
                 .max_levels()
                 .iter()
                 .map(|&m| rng.gen_range(0..=m))
                 .collect();
-            population.push(self.evaluate(&codec, levels)?);
+            population.push(self.evaluate(codec, levels)?);
         }
 
         for _ in 0..self.config.generations {
@@ -310,7 +304,7 @@ impl MultiObjectiveGenetic {
                         };
                     }
                 }
-                offspring.push(self.evaluate(&codec, child)?);
+                offspring.push(self.evaluate(codec, child)?);
             }
             // Environmental selection: μ+λ, keep the NSGA-II best. Fronts
             // come from one batched dominance matrix over the pooled
@@ -339,7 +333,7 @@ impl MultiObjectiveGenetic {
         let front = pareto_front(&points);
         let mut solutions: Vec<ParetoSolution> = Vec::with_capacity(front.len());
         for i in front {
-            let table = lattice.apply(dataset, &population[i].levels, "moga")?;
+            let table = fd.decode(&population[i].levels)?;
             solutions.push(ParetoSolution {
                 levels: population[i].levels.clone(),
                 objectives: population[i].objectives.clone(),
@@ -405,6 +399,8 @@ fn tournament(rng: &mut StdRng, rank: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
+    use anoncmp_microdata::prelude::Lattice;
 
     use crate::algorithms::test_support::small_census;
 

@@ -13,27 +13,16 @@
 
 use std::sync::Arc;
 
-use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, LevelVector};
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::FullDomain;
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
 /// The exhaustive full-domain search.
-#[derive(Debug, Clone)]
-pub struct OptimalLattice {
-    /// The loss metric to minimize.
-    pub metric: LossMetric,
-}
-
-impl Default for OptimalLattice {
-    fn default() -> Self {
-        OptimalLattice {
-            metric: LossMetric::classic(),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OptimalLattice;
 
 impl OptimalLattice {
     /// Runs the exhaustive search, returning the loss-minimal feasible
@@ -43,34 +32,10 @@ impl OptimalLattice {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, LevelVector, usize)> {
-        validate_common(dataset, constraint)?;
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
-        let fast = constraint.is_frequency_only();
-        let mut best: Option<(f64, LevelVector, AnonymizedTable)> = None;
-        let mut feasible = 0usize;
-        for levels in lattice.iter_all() {
-            // Frequency-set pre-check: infeasible nodes are rejected from
-            // class sizes alone and never materialize a table.
-            if fast && !constraint.feasible_partition(&lattice.evaluate_node(&codec, &levels)?) {
-                continue;
-            }
-            let table = lattice.apply_encoded(&codec, &levels, "optimal")?;
-            let Some(enforced) = constraint.enforce(&table) else {
-                continue;
-            };
-            feasible += 1;
-            let loss = self.metric.total_loss(&enforced);
-            if best.as_ref().is_none_or(|(l, ..)| loss < *l) {
-                best = Some((loss, levels, enforced));
-            }
-        }
-        match best {
-            Some((_, levels, table)) => Ok((table, levels, feasible)),
-            None => Err(AnonymizeError::Unsatisfiable(format!(
-                "no lattice node satisfies {}",
-                constraint.describe()
-            ))),
+        let fd = FullDomain::new(dataset, constraint, "optimal")?;
+        match fd.best_feasible(fd.lattice().iter_all())? {
+            (Some((levels, table)), feasible) => Ok((table, levels, feasible.len())),
+            (None, _) => Err(fd.unsatisfiable("no lattice node satisfies")),
         }
     }
 }
@@ -92,6 +57,8 @@ impl Anonymizer for OptimalLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
+    use anoncmp_microdata::loss::LossMetric;
 
     use crate::algorithms::incognito::Incognito;
     use crate::algorithms::samarati::Samarati;
@@ -109,8 +76,8 @@ mod tests {
         let ds = small_census();
         for k in [2usize, 3, 4] {
             let c = Constraint::k_anonymity(k);
-            let (opt_table, opt_levels, _) = OptimalLattice::default().run(&ds, &c).unwrap();
-            let inc = Incognito::default().run(&ds, &c).unwrap();
+            let (opt_table, opt_levels, _) = OptimalLattice.run(&ds, &c).unwrap();
+            let inc = Incognito.run(&ds, &c).unwrap();
             let m = LossMetric::classic();
             assert!(
                 (m.total_loss(&inc.table) - m.total_loss(&opt_table)).abs() < 1e-9,
@@ -125,14 +92,14 @@ mod tests {
     fn every_heuristic_is_bounded_below_by_the_optimum() {
         let ds = small_census();
         let c = Constraint::k_anonymity(5).with_suppression(6);
-        let (opt_table, _, _) = OptimalLattice::default().run(&ds, &c).unwrap();
+        let (opt_table, _, _) = OptimalLattice.run(&ds, &c).unwrap();
         let m = LossMetric::classic();
         let opt_loss = m.total_loss(&opt_table);
         for algo in [
             Box::new(crate::algorithms::datafly::Datafly) as Box<dyn Anonymizer>,
-            Box::new(crate::algorithms::greedy::GreedyRecoder::default()),
-            Box::new(crate::algorithms::tds::TopDown::default()),
-            Box::new(Samarati::default()),
+            Box::new(crate::algorithms::greedy::GreedyRecoder),
+            Box::new(crate::algorithms::tds::TopDown),
+            Box::new(Samarati),
         ] {
             let t = algo.anonymize(&ds, &c).unwrap();
             assert!(
@@ -146,10 +113,10 @@ mod tests {
     #[test]
     fn feasible_count_grows_with_budget() {
         let ds = small_census();
-        let (_, _, tight) = OptimalLattice::default()
+        let (_, _, tight) = OptimalLattice
             .run(&ds, &Constraint::k_anonymity(4))
             .unwrap();
-        let (_, _, loose) = OptimalLattice::default()
+        let (_, _, loose) = OptimalLattice
             .run(
                 &ds,
                 &Constraint::k_anonymity(4).with_suppression(ds.len() / 5),
@@ -163,7 +130,7 @@ mod tests {
         let ds = small_census();
         let c = Constraint::k_anonymity(ds.len() + 1);
         assert!(matches!(
-            OptimalLattice::default().anonymize(&ds, &c),
+            OptimalLattice.anonymize(&ds, &c),
             Err(AnonymizeError::Unsatisfiable(_))
         ));
     }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Domain, GenValue, Taxonomy};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Domain, Error, GenValue, Taxonomy};
 
 use crate::error::Result;
 
@@ -13,8 +13,12 @@ use crate::error::Result;
 /// numeric columns get the tight half-open interval, categorical columns
 /// the lowest covering taxonomy node (or the raw value when unique, or
 /// `*` when only the root covers / no taxonomy exists).
-pub(crate) fn cover(dataset: &Dataset, col: usize, part: &[u32]) -> GenValue {
-    match dataset.schema().attribute(col).domain() {
+///
+/// # Errors
+/// [`Error::ValueOutOfDomain`] when a group spanning `i64::MIN` needs an
+/// interval, whose exclusive lower bound `i64::MIN − 1` does not exist.
+pub(crate) fn cover(dataset: &Dataset, col: usize, part: &[u32]) -> Result<GenValue> {
+    Ok(match dataset.schema().attribute(col).domain() {
         Domain::Integer { .. } => {
             let vals: Vec<i64> = part
                 .iter()
@@ -26,7 +30,11 @@ pub(crate) fn cover(dataset: &Dataset, col: usize, part: &[u32]) -> GenValue {
                 GenValue::Int(lo)
             } else {
                 // Half-open (lo − 1, hi] covers exactly lo..=hi.
-                GenValue::Interval { lo: lo - 1, hi }
+                let below = lo.checked_sub(1).ok_or_else(|| Error::ValueOutOfDomain {
+                    attribute: dataset.schema().attribute(col).name().to_owned(),
+                    value: lo.to_string(),
+                })?;
+                GenValue::Interval { lo: below, hi }
             }
         }
         Domain::Categorical { .. } => {
@@ -37,7 +45,7 @@ pub(crate) fn cover(dataset: &Dataset, col: usize, part: &[u32]) -> GenValue {
             cats.sort_unstable();
             cats.dedup();
             if cats.len() == 1 {
-                return GenValue::Cat(cats[0]);
+                return Ok(GenValue::Cat(cats[0]));
             }
             match dataset
                 .schema()
@@ -49,7 +57,7 @@ pub(crate) fn cover(dataset: &Dataset, col: usize, part: &[u32]) -> GenValue {
                 None => GenValue::Suppressed,
             }
         }
-    }
+    })
 }
 
 /// Lowest taxonomy node covering all of `cats`; `Suppressed` when only the
@@ -72,7 +80,7 @@ pub(crate) fn lca(tax: &Taxonomy, cats: &[u32]) -> GenValue {
 /// non-QI columns stay raw.
 ///
 /// # Errors
-/// Propagates [`AnonymizedTable::new`] validation errors.
+/// As [`cover`]; propagates [`AnonymizedTable::new`] validation errors.
 pub(crate) fn table_from_partitions(
     dataset: &Arc<Dataset>,
     partitions: &[Vec<u32>],
@@ -86,7 +94,7 @@ pub(crate) fn table_from_partitions(
         .collect();
     for part in partitions {
         for &col in &qi {
-            let gv = cover(dataset, col, part);
+            let gv = cover(dataset, col, part)?;
             for &t in part {
                 records[t as usize][col] = gv;
             }
@@ -100,6 +108,8 @@ mod tests {
     use super::*;
 
     use anoncmp_microdata::prelude::*;
+
+    use crate::error::AnonymizeError;
 
     fn dataset() -> Arc<Dataset> {
         let schema = Schema::new(vec![
@@ -126,9 +136,12 @@ mod tests {
     #[test]
     fn numeric_cover_is_tight() {
         let ds = dataset();
-        assert_eq!(cover(&ds, 0, &[0, 1]), GenValue::Interval { lo: 9, hi: 20 });
         assert_eq!(
-            cover(&ds, 0, &[1, 2]),
+            cover(&ds, 0, &[0, 1]).unwrap(),
+            GenValue::Interval { lo: 9, hi: 20 }
+        );
+        assert_eq!(
+            cover(&ds, 0, &[1, 2]).unwrap(),
             GenValue::Int(20),
             "single value stays raw"
         );
@@ -138,7 +151,7 @@ mod tests {
     fn categorical_cover_uses_lca() {
         let ds = dataset();
         // aa (cat 0) and ab (cat 1) share the "a*" node.
-        let gv = cover(&ds, 1, &[0, 1]);
+        let gv = cover(&ds, 1, &[0, 1]).unwrap();
         let tax = ds
             .schema()
             .attribute(1)
@@ -151,8 +164,32 @@ mod tests {
             other => panic!("expected a node, got {other:?}"),
         }
         // aa and bb only share the root.
-        assert_eq!(cover(&ds, 1, &[0, 2]), GenValue::Suppressed);
-        assert_eq!(cover(&ds, 1, &[2]), GenValue::Cat(2));
+        assert_eq!(cover(&ds, 1, &[0, 2]).unwrap(), GenValue::Suppressed);
+        assert_eq!(cover(&ds, 1, &[2]).unwrap(), GenValue::Cat(2));
+    }
+
+    #[test]
+    fn numeric_cover_refuses_to_wrap_below_i64_min() {
+        let schema = Schema::new(vec![Attribute::integer(
+            "age",
+            Role::QuasiIdentifier,
+            i64::MIN,
+            100,
+        )])
+        .unwrap();
+        let ds = Dataset::new(
+            schema,
+            vec![vec![Value::Int(i64::MIN)], vec![Value::Int(30)]],
+        )
+        .unwrap();
+        match cover(&ds, 0, &[0, 1]) {
+            Err(AnonymizeError::Microdata(Error::ValueOutOfDomain { attribute, .. })) => {
+                assert_eq!(attribute, "age");
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        assert_eq!(cover(&ds, 0, &[0]).unwrap(), GenValue::Int(i64::MIN));
+        assert!(table_from_partitions(&ds, &[vec![0, 1]], "t").is_err());
     }
 
     #[test]

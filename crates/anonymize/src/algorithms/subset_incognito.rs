@@ -27,27 +27,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector};
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::FullDomain;
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
 /// The phased subset-join Incognito.
-#[derive(Debug, Clone)]
-pub struct SubsetIncognito {
-    /// Preference metric used to choose among minimal satisfying nodes.
-    pub preference: LossMetric,
-}
-
-impl Default for SubsetIncognito {
-    fn default() -> Self {
-        SubsetIncognito {
-            preference: LossMetric::classic(),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SubsetIncognito;
 
 /// Search outcome with pruning statistics.
 #[derive(Debug)]
@@ -93,9 +82,8 @@ impl SubsetIncognito {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<SubsetIncognitoOutcome> {
-        validate_common(dataset, constraint)?;
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let fd = FullDomain::new(dataset, constraint, "subset-incognito")?;
+        let (lattice, codec) = (fd.lattice(), fd.codec());
         let m = lattice.dimensions();
         let max_levels = lattice.max_levels().to_vec();
         let budget = constraint.max_suppression;
@@ -173,7 +161,7 @@ impl SubsetIncognito {
                         true
                     } else {
                         evaluated += 1;
-                        projection_satisfies(&codec, &dims, &cand, k, budget)?
+                        projection_satisfies(codec, &dims, &cand, k, budget)?
                     };
                     if ok {
                         satisfying.push(cand);
@@ -186,51 +174,29 @@ impl SubsetIncognito {
 
         // Final stage: the full-QI satisfying set, filtered by the full
         // constraint (extra models + exact enforcement), minimal nodes
-        // only, choose by preference loss.
+        // first, chosen by classic loss.
         let full_dims: Vec<usize> = (0..m).collect();
         let full_sat = sat.remove(&full_dims).unwrap_or_default();
-        let mut best: Option<(f64, LevelVector, AnonymizedTable)> = None;
-        for levels in &full_sat {
-            // Minimality: skip nodes strictly above another satisfying node.
-            let minimal = !full_sat
-                .iter()
-                .any(|o| o != levels && Lattice::leq(o, levels));
-            if !minimal {
-                continue;
-            }
-            let table = lattice.apply_encoded(&codec, levels, "subset-incognito")?;
-            let Some(enforced) = constraint.enforce(&table) else {
-                continue;
-            };
-            let loss = self.preference.total_loss(&enforced);
-            if best.as_ref().is_none_or(|(l, ..)| loss < *l) {
-                best = Some((loss, levels.clone(), enforced));
-            }
-        }
+        let (minimal, rest): (Vec<LevelVector>, Vec<LevelVector>) =
+            full_sat.iter().cloned().partition(|levels| {
+                !full_sat
+                    .iter()
+                    .any(|o| o != levels && Lattice::leq(o, levels))
+            });
         // Extra models can knock out every minimal node; fall back to the
-        // full satisfying set before giving up.
-        if best.is_none() {
-            for levels in &full_sat {
-                let table = lattice.apply_encoded(&codec, levels, "subset-incognito")?;
-                if let Some(enforced) = constraint.enforce(&table) {
-                    let loss = self.preference.total_loss(&enforced);
-                    if best.as_ref().is_none_or(|(l, ..)| loss < *l) {
-                        best = Some((loss, levels.clone(), enforced));
-                    }
-                }
-            }
-        }
+        // rest of the satisfying set before giving up.
+        let best = match fd.best(minimal)? {
+            Some(winner) => Some(winner),
+            None => fd.best(rest)?,
+        };
         match best {
-            Some((_, levels, table)) => Ok(SubsetIncognitoOutcome {
+            Some((levels, table)) => Ok(SubsetIncognitoOutcome {
                 table,
                 levels,
                 evaluated_per_phase,
                 join_pruned,
             }),
-            None => Err(AnonymizeError::Unsatisfiable(format!(
-                "no lattice node satisfies {}",
-                constraint.describe()
-            ))),
+            None => Err(fd.unsatisfiable("no lattice node satisfies")),
         }
     }
 }
@@ -271,6 +237,8 @@ impl Anonymizer for SubsetIncognito {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
+    use anoncmp_microdata::loss::LossMetric;
 
     use crate::algorithms::incognito::Incognito;
     use crate::algorithms::test_support::small_census;
@@ -291,8 +259,8 @@ mod tests {
         let m = LossMetric::classic();
         for k in [2usize, 4] {
             let c = Constraint::k_anonymity(k).with_suppression(6);
-            let plain = Incognito::default().run(&ds, &c).unwrap();
-            let phased = SubsetIncognito::default().run(&ds, &c).unwrap();
+            let plain = Incognito.run(&ds, &c).unwrap();
+            let phased = SubsetIncognito.run(&ds, &c).unwrap();
             assert!(
                 (m.total_loss(&plain.table) - m.total_loss(&phased.table)).abs() < 1e-9,
                 "k = {k}: plain {:?} vs phased {:?}",
@@ -307,7 +275,7 @@ mod tests {
     fn join_pruning_fires() {
         let ds = small_census();
         let c = Constraint::k_anonymity(8).with_suppression(4);
-        let outcome = SubsetIncognito::default().run(&ds, &c).unwrap();
+        let outcome = SubsetIncognito.run(&ds, &c).unwrap();
         assert_eq!(outcome.evaluated_per_phase.len(), 6, "one entry per phase");
         assert!(
             outcome.join_pruned > 0,
@@ -328,7 +296,7 @@ mod tests {
         let c = Constraint::k_anonymity(2)
             .with_suppression(ds.len() / 5)
             .with_model(StdArc::new(LDiversity::distinct(2)));
-        let t = SubsetIncognito::default().anonymize(&ds, &c).unwrap();
+        let t = SubsetIncognito.anonymize(&ds, &c).unwrap();
         assert!(c.satisfied(&t));
     }
 
@@ -337,7 +305,7 @@ mod tests {
         let ds = small_census();
         let c = Constraint::k_anonymity(ds.len() + 1);
         assert!(matches!(
-            SubsetIncognito::default().anonymize(&ds, &c),
+            SubsetIncognito.anonymize(&ds, &c),
             Err(AnonymizeError::Unsatisfiable(_))
         ));
     }

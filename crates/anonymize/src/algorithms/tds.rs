@@ -13,28 +13,17 @@
 
 use std::sync::Arc;
 
-use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Lattice};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
-use crate::algorithms::{validate_common, Anonymizer};
+use crate::algorithms::full_domain::{FullDomain, Verdict};
+use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
-use crate::error::{AnonymizeError, Result};
+use crate::error::Result;
 
-/// The top-down specialization algorithm.
-#[derive(Debug, Clone)]
-pub struct TopDown {
-    /// Loss metric whose *reduction* is the information gain of a
-    /// specialization.
-    pub metric: LossMetric,
-}
-
-impl Default for TopDown {
-    fn default() -> Self {
-        TopDown {
-            metric: LossMetric::classic(),
-        }
-    }
-}
+/// The top-down specialization algorithm. The information gain of a
+/// specialization is its reduction of the classic loss.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TopDown;
 
 impl TopDown {
     /// Runs TDS, also returning the final level vector.
@@ -43,17 +32,12 @@ impl TopDown {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
-        validate_common(dataset, constraint)?;
-        let lattice = Lattice::new(dataset.schema().clone())?;
-        let mut levels = lattice.top();
-        let top_table = lattice.apply(dataset, &levels, "top-down")?;
-        let mut current = constraint.enforce(&top_table).ok_or_else(|| {
-            AnonymizeError::Unsatisfiable(format!(
-                "even the fully generalized release violates {}",
-                constraint.describe()
-            ))
-        })?;
-        let mut current_loss = self.metric.total_loss(&current);
+        let fd = FullDomain::new(dataset, constraint, "top-down")?;
+        let mut levels = fd.lattice().top();
+        let Verdict::Feasible(mut current) = fd.judge(&levels)? else {
+            return Err(fd.unsatisfiable("even the fully generalized release violates"));
+        };
+        let mut current_loss = fd.loss(&current);
         loop {
             // Score every feasible single-step specialization by
             // information gain (loss reduction); anonymity loss is implicit
@@ -61,12 +45,11 @@ impl TopDown {
             // with the suppression increase as a tie-breaking denominator —
             // the "score = gain / loss" shape of TDS.
             let mut best: Option<(f64, Vec<usize>, AnonymizedTable, f64)> = None;
-            for pred in lattice.predecessors(&levels) {
-                let table = lattice.apply(dataset, &pred, "top-down")?;
-                let Some(enforced) = constraint.enforce(&table) else {
+            for pred in fd.lattice().predecessors(&levels) {
+                let Verdict::Feasible(enforced) = fd.judge(&pred)? else {
                     continue;
                 };
-                let loss = self.metric.total_loss(&enforced);
+                let loss = fd.loss(&enforced);
                 let gain = (current_loss - loss).max(0.0);
                 let anonymity_cost = (enforced.suppressed_count() as f64
                     - current.suppressed_count() as f64)
@@ -107,6 +90,9 @@ impl Anonymizer for TopDown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AnonymizeError;
+    use anoncmp_microdata::loss::LossMetric;
+    use anoncmp_microdata::prelude::Lattice;
 
     use crate::algorithms::datafly::Datafly;
     use crate::algorithms::test_support::small_census;
@@ -116,7 +102,7 @@ mod tests {
         let ds = small_census();
         for k in [2, 5, 10] {
             let c = Constraint::k_anonymity(k).with_suppression(ds.len() / 10);
-            let t = TopDown::default().anonymize(&ds, &c).unwrap();
+            let t = TopDown.anonymize(&ds, &c).unwrap();
             assert!(c.satisfied(&t), "k = {k}");
             assert_eq!(t.len(), ds.len());
         }
@@ -128,7 +114,7 @@ mod tests {
         // must be infeasible — TDS's defining postcondition.
         let ds = small_census();
         let c = Constraint::k_anonymity(4).with_suppression(5);
-        let (_, levels) = TopDown::default().run(&ds, &c).unwrap();
+        let (_, levels) = TopDown.run(&ds, &c).unwrap();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
         for pred in lattice.predecessors(&levels) {
             let t = lattice.apply(&ds, &pred, "x").unwrap();
@@ -146,7 +132,7 @@ mod tests {
         let ds = small_census();
         let c = Constraint::k_anonymity(5).with_suppression(6);
         let m = LossMetric::classic();
-        let tds = TopDown::default().anonymize(&ds, &c).unwrap();
+        let tds = TopDown.anonymize(&ds, &c).unwrap();
         let datafly = Datafly.anonymize(&ds, &c).unwrap();
         // Allow a generous band; the point is the same order of magnitude,
         // with TDS usually at or below Datafly's loss.
@@ -156,9 +142,7 @@ mod tests {
     #[test]
     fn k_one_descends_to_the_bottom() {
         let ds = small_census();
-        let (t, levels) = TopDown::default()
-            .run(&ds, &Constraint::k_anonymity(1))
-            .unwrap();
+        let (t, levels) = TopDown.run(&ds, &Constraint::k_anonymity(1)).unwrap();
         assert_eq!(levels, vec![0; 6], "1-anonymity allows the raw release");
         assert_eq!(t.suppressed_count(), 0);
     }
@@ -168,7 +152,7 @@ mod tests {
         let ds = small_census();
         let c = Constraint::k_anonymity(ds.len() + 1);
         assert!(matches!(
-            TopDown::default().anonymize(&ds, &c),
+            TopDown.anonymize(&ds, &c),
             Err(AnonymizeError::Unsatisfiable(_))
         ));
     }
@@ -184,7 +168,7 @@ mod tests {
         let c = Constraint::k_anonymity(2)
             .with_suppression(ds.len() / 4)
             .with_model(StdArc::new(LDiversity::distinct(2)));
-        let t = TopDown::default().anonymize(&ds, &c).unwrap();
+        let t = TopDown.anonymize(&ds, &c).unwrap();
         assert!(c.satisfied(&t));
     }
 }

@@ -94,26 +94,14 @@ impl Constraint {
         self.models.is_empty()
     }
 
-    /// Frequency-set feasibility from class sizes: whether a release with
-    /// these class sizes can be brought to satisfaction within the
+    /// Frequency-set feasibility from a codec [`NodePartition`]'s class
+    /// sizes: whether the node can be brought to satisfaction within the
     /// suppression budget. Suppressing the tuples of every class below `k`
     /// only merges them into the fully suppressed class (which cannot
     /// shrink any class), so for a frequency-only constraint
     /// [`enforce`](Self::enforce) succeeds **iff** the tuples in
     /// sub-`k` classes fit the budget. Always `false` when extra models
     /// are attached — those need the actual table.
-    pub fn feasible_class_sizes(&self, sizes: &[u32]) -> bool {
-        self.is_frequency_only()
-            && sizes
-                .iter()
-                .filter(|&&s| (s as usize) < self.k)
-                .map(|&s| s as usize)
-                .sum::<usize>()
-                <= self.max_suppression
-    }
-
-    /// [`feasible_class_sizes`](Self::feasible_class_sizes) over a codec
-    /// [`NodePartition`] — Incognito's frequency-set check.
     pub fn feasible_partition(&self, partition: &NodePartition) -> bool {
         self.is_frequency_only() && partition.tuples_below(self.k) <= self.max_suppression
     }
@@ -163,13 +151,22 @@ impl Constraint {
     /// `max_suppression` tuples would need to be suppressed (already
     /// suppressed tuples count against the budget too).
     pub fn enforce(&self, table: &AnonymizedTable) -> Option<AnonymizedTable> {
+        self.try_enforce(table).ok()
+    }
+
+    /// [`enforce`](Self::enforce), reporting the number of
+    /// [violating tuples](Self::violating_tuples) when it fails.
+    pub(crate) fn try_enforce(
+        &self,
+        table: &AnonymizedTable,
+    ) -> std::result::Result<AnonymizedTable, usize> {
         let needed = self.violating_tuples(table);
         let already = table.suppressed_count();
         if needed + already > self.max_suppression {
-            return None;
+            return Err(needed);
         }
         if needed == 0 {
-            return Some(table.clone());
+            return Ok(table.clone());
         }
         let mut to_suppress: Vec<usize> = Vec::with_capacity(needed);
         for (_, members) in table.classes().iter() {
@@ -184,7 +181,7 @@ impl Constraint {
         // Suppressing can only merge classes into the suppressed class, so
         // the result either satisfies the constraint or the constraint is
         // genuinely unsatisfiable within budget for this recoding.
-        self.satisfied(&enforced).then_some(enforced)
+        self.satisfied(&enforced).then_some(enforced).ok_or(needed)
     }
 }
 
@@ -293,10 +290,6 @@ mod tests {
                     c.enforce(&t).is_some(),
                     "k={k} budget={budget}"
                 );
-                assert_eq!(
-                    c.feasible_class_sizes(part.sizes()),
-                    c.feasible_partition(&part)
-                );
             }
         }
     }
@@ -311,7 +304,6 @@ mod tests {
         // k=1 is trivially feasible by sizes, but the model must force the
         // slow path: the sizes check conservatively refuses.
         assert!(!c.feasible_partition(&part));
-        assert!(!c.feasible_class_sizes(part.sizes()));
     }
 
     #[test]

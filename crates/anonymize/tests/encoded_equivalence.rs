@@ -4,11 +4,13 @@
 //! pre-codec evaluation strategy).
 //!
 //! The references below deliberately re-state each search in its naive
-//! form — `Lattice::apply` + `Constraint::enforce` per node — so any
-//! divergence introduced by the frequency-set fast path, incremental
-//! coarsening, or decode-only-the-winner routing shows up as a failed
-//! equality, not a subtle loss delta. CI runs this as the perf-smoke
-//! equivalence gate.
+//! form — `Lattice::apply` + `Constraint::enforce` per node, scored with
+//! `LossMetric::classic()` — so any divergence introduced by the shared
+//! node evaluator (class-size feasibility, incremental coarsening,
+//! decode-only-the-winner) shows up as a failed equality, not a subtle
+//! loss delta. Every search runs under every constraint, including one
+//! with an extra model, which takes the evaluator's decode-and-enforce
+//! branch. CI runs this as the perf-smoke equivalence gate.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -18,6 +20,8 @@ use anoncmp_datagen::census::{generate, CensusConfig};
 use anoncmp_datagen::paper::{paper_schema_t3, paper_table1};
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 // ----------------------------------------------------------------------
 // Reference implementations (materialize every evaluated node).
@@ -144,6 +148,219 @@ fn ref_optimal(
     best.map(|(_, l, t)| (l, t))
 }
 
+/// SubsetIncognito's final stage. The subset phases hand it exactly the
+/// full-QI nodes whose k-anonymity fits the budget, in lexicographic order
+/// stable-sorted by height; minimal nodes are tried first, then the rest.
+fn ref_subset_incognito(
+    ds: &Arc<Dataset>,
+    constraint: &Constraint,
+) -> Option<(LevelVector, AnonymizedTable)> {
+    let lattice = Lattice::new(ds.schema().clone()).unwrap();
+    let k_only = Constraint::k_anonymity(constraint.k);
+    let mut nodes: Vec<LevelVector> = lattice.iter_all().collect();
+    nodes.sort_by_key(|levels| lattice.height_of(levels));
+    let full_sat: Vec<LevelVector> = nodes
+        .into_iter()
+        .filter(|levels| {
+            let table = lattice.apply(ds, levels, "x").expect("valid node");
+            k_only.violating_tuples(&table) <= constraint.max_suppression
+        })
+        .collect();
+    let is_minimal =
+        |cand: &LevelVector| !full_sat.iter().any(|o| o != cand && Lattice::leq(o, cand));
+    let metric = LossMetric::classic();
+    let pick = |minimal: bool| {
+        let mut best: Option<(f64, LevelVector, AnonymizedTable)> = None;
+        for levels in full_sat.iter().filter(|l| is_minimal(l) == minimal) {
+            let table = lattice
+                .apply(ds, levels, "subset-incognito")
+                .expect("valid node");
+            let Some(enforced) = constraint.enforce(&table) else {
+                continue;
+            };
+            let loss = metric.total_loss(&enforced);
+            if best.as_ref().is_none_or(|(l, ..)| loss < *l) {
+                best = Some((loss, levels.clone(), enforced));
+            }
+        }
+        best.map(|(_, l, t)| (l, t))
+    };
+    pick(true).or_else(|| pick(false))
+}
+
+/// Top-down specialization from the top, one table per predecessor.
+fn ref_top_down(
+    ds: &Arc<Dataset>,
+    constraint: &Constraint,
+) -> Option<(LevelVector, AnonymizedTable)> {
+    let lattice = Lattice::new(ds.schema().clone()).unwrap();
+    let metric = LossMetric::classic();
+    let mut levels = lattice.top();
+    let top = lattice.apply(ds, &levels, "top-down").expect("valid node");
+    let mut current = constraint.enforce(&top)?;
+    let mut current_loss = metric.total_loss(&current);
+    loop {
+        let mut best: Option<(f64, LevelVector, AnonymizedTable, f64)> = None;
+        for pred in lattice.predecessors(&levels) {
+            let table = lattice.apply(ds, &pred, "top-down").expect("valid node");
+            let Some(enforced) = constraint.enforce(&table) else {
+                continue;
+            };
+            let loss = metric.total_loss(&enforced);
+            let gain = (current_loss - loss).max(0.0);
+            let anonymity_cost =
+                (enforced.suppressed_count() as f64 - current.suppressed_count() as f64).max(0.0)
+                    + 1.0;
+            let score = gain / anonymity_cost;
+            if best.as_ref().is_none_or(|(s, ..)| score > *s) {
+                best = Some((score, pred, enforced, loss));
+            }
+        }
+        match best {
+            Some((_, pred, table, loss)) => {
+                levels = pred;
+                current = table;
+                current_loss = loss;
+            }
+            None => return Some((levels, current)),
+        }
+    }
+}
+
+/// The greedy ratio recoder, scoring un-enforced tables of every successor.
+fn ref_greedy(
+    ds: &Arc<Dataset>,
+    constraint: &Constraint,
+) -> Option<(LevelVector, AnonymizedTable)> {
+    let lattice = Lattice::new(ds.schema().clone()).unwrap();
+    let metric = LossMetric::classic();
+    let mut levels = lattice.bottom();
+    let mut current = lattice.apply(ds, &levels, "greedy").expect("valid node");
+    let mut current_viol = constraint.violating_tuples(&current);
+    let mut current_loss = metric.total_loss(&current);
+    loop {
+        if let Some(done) = constraint.enforce(&current) {
+            return Some((levels, done));
+        }
+        let mut best: Option<(f64, LevelVector, AnonymizedTable, usize, f64)> = None;
+        for succ in lattice.successors(&levels) {
+            let table = lattice.apply(ds, &succ, "greedy").expect("valid node");
+            let viol = constraint.violating_tuples(&table);
+            let loss = metric.total_loss(&table);
+            let reduction = current_viol.saturating_sub(viol) as f64;
+            let cost = (loss - current_loss).max(1e-9);
+            let ratio = reduction / cost;
+            if best.as_ref().is_none_or(|(r, ..)| ratio > *r) {
+                best = Some((ratio, succ, table, viol, loss));
+            }
+        }
+        let (_, succ, table, viol, loss) = best?;
+        levels = succ;
+        current = table;
+        current_viol = viol;
+        current_loss = loss;
+    }
+}
+
+/// The small, fixed-seed genetic configuration both sides run.
+fn genetic_config() -> GeneticConfig {
+    GeneticConfig {
+        population: 8,
+        generations: 5,
+        seed: 7,
+        ..Default::default()
+    }
+}
+
+/// The genetic search with the same RNG stream, one table per individual.
+fn ref_genetic(
+    ds: &Arc<Dataset>,
+    constraint: &Constraint,
+) -> Option<(LevelVector, AnonymizedTable)> {
+    let config = genetic_config();
+    let lattice = Lattice::new(ds.schema().clone()).unwrap();
+    let metric = LossMetric::classic();
+    let evaluate = |levels: LevelVector| {
+        let table = lattice.apply(ds, &levels, "genetic").expect("valid node");
+        match constraint.enforce(&table) {
+            Some(enforced) => (levels, -metric.total_loss(&enforced), Some(enforced)),
+            None => {
+                let viol = constraint.violating_tuples(&table) as f64;
+                let n = ds.len() as f64;
+                let a = ds.schema().quasi_identifiers().len() as f64;
+                (levels, -a * n - viol, None)
+            }
+        }
+    };
+    let best_index = |population: &[(LevelVector, f64, Option<AnonymizedTable>)]| {
+        population
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).unwrap())
+            .map(|(i, _)| i)
+            .unwrap()
+    };
+    let select = |rng: &mut StdRng, population: &[(LevelVector, f64, Option<AnonymizedTable>)]| {
+        let mut best = rng.gen_range(0..population.len());
+        for _ in 1..config.tournament {
+            let c = rng.gen_range(0..population.len());
+            if population[c].1 > population[best].1 {
+                best = c;
+            }
+        }
+        best
+    };
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut population = vec![evaluate(lattice.top())];
+    while population.len() < config.population {
+        let levels: LevelVector = lattice
+            .max_levels()
+            .iter()
+            .map(|&m| rng.gen_range(0..=m))
+            .collect();
+        population.push(evaluate(levels));
+    }
+    let mut best_idx = best_index(&population);
+    for _ in 0..config.generations {
+        let mut next = vec![evaluate(population[best_idx].0.clone())];
+        while next.len() < config.population {
+            let a = select(&mut rng, &population);
+            let b = select(&mut rng, &population);
+            let (pa, pb) = (&population[a].0, &population[b].0);
+            let mut child: LevelVector = match config.crossover {
+                Crossover::Uniform => pa
+                    .iter()
+                    .zip(pb)
+                    .map(|(&x, &y)| if rng.gen::<bool>() { x } else { y })
+                    .collect(),
+                Crossover::OnePoint => {
+                    let cut = rng.gen_range(0..=pa.len());
+                    pa[..cut].iter().chain(pb[cut..].iter()).copied().collect()
+                }
+            };
+            for (dim, l) in child.iter_mut().enumerate() {
+                if rng.gen::<f64>() < config.mutation_rate {
+                    let max = lattice.max_levels()[dim];
+                    if *l == 0 {
+                        *l += 1;
+                    } else if *l == max {
+                        *l -= 1;
+                    } else if rng.gen::<bool>() {
+                        *l += 1;
+                    } else {
+                        *l -= 1;
+                    }
+                }
+            }
+            next.push(evaluate(child));
+        }
+        population = next;
+        best_idx = best_index(&population);
+    }
+    let (levels, _, table) = population.swap_remove(best_idx);
+    table.map(|t| (levels, t))
+}
+
 // ----------------------------------------------------------------------
 // Equality assertions.
 // ----------------------------------------------------------------------
@@ -178,6 +395,10 @@ fn constraints(n: usize) -> Vec<Constraint> {
         Constraint::k_anonymity(2),
         Constraint::k_anonymity(3).with_suppression(n / 10),
         Constraint::k_anonymity(5).with_suppression(n / 5),
+        // An extra model: feasibility needs the decoded table.
+        Constraint::k_anonymity(2)
+            .with_suppression(n / 10)
+            .with_model(Arc::new(LDiversity::distinct(2))),
     ]
 }
 
@@ -186,7 +407,7 @@ fn samarati_matches_materialized_reference() {
     for (label, ds) in datasets() {
         for c in constraints(ds.len()) {
             let reference = ref_samarati(&ds, &c).expect("satisfiable on seed data");
-            let outcome = Samarati::default().run(&ds, &c).expect("satisfiable");
+            let outcome = Samarati.run(&ds, &c).expect("satisfiable");
             let ctx = format!("samarati/{label}/{}", c.describe());
             assert_eq!(outcome.levels, reference.0, "{ctx}: winning node differs");
             assert_identical(&ctx, &outcome.table, &reference.1);
@@ -199,7 +420,7 @@ fn incognito_matches_materialized_reference() {
     for (label, ds) in datasets() {
         for c in constraints(ds.len()) {
             let reference = ref_incognito(&ds, &c).expect("satisfiable on seed data");
-            let outcome = Incognito::default().run(&ds, &c).expect("satisfiable");
+            let outcome = Incognito.run(&ds, &c).expect("satisfiable");
             let ctx = format!("incognito/{label}/{}", c.describe());
             assert_eq!(outcome.levels, reference.0, "{ctx}: winning node differs");
             assert_identical(&ctx, &outcome.table, &reference.1);
@@ -212,7 +433,7 @@ fn optimal_matches_materialized_reference() {
     for (label, ds) in datasets() {
         for c in constraints(ds.len()) {
             let reference = ref_optimal(&ds, &c).expect("satisfiable on seed data");
-            let (table, levels, _) = OptimalLattice::default().run(&ds, &c).expect("satisfiable");
+            let (table, levels, _) = OptimalLattice.run(&ds, &c).expect("satisfiable");
             let ctx = format!("optimal/{label}/{}", c.describe());
             assert_eq!(levels, reference.0, "{ctx}: winning node differs");
             assert_identical(&ctx, &table, &reference.1);
@@ -256,6 +477,61 @@ fn datafly_matches_materialized_reference() {
             let (table, levels) = Datafly.run(&ds, &c).expect("satisfiable");
             let ctx = format!("datafly/{label}/{}", c.describe());
             assert_eq!(levels, reference.0, "{ctx}: final node differs");
+            assert_identical(&ctx, &table, &reference.1);
+        }
+    }
+}
+
+#[test]
+fn subset_incognito_matches_materialized_reference() {
+    for (label, ds) in datasets() {
+        for c in constraints(ds.len()) {
+            let reference = ref_subset_incognito(&ds, &c).expect("satisfiable on seed data");
+            let outcome = SubsetIncognito.run(&ds, &c).expect("satisfiable");
+            let ctx = format!("subset-incognito/{label}/{}", c.describe());
+            assert_eq!(outcome.levels, reference.0, "{ctx}: winning node differs");
+            assert_identical(&ctx, &outcome.table, &reference.1);
+        }
+    }
+}
+
+#[test]
+fn top_down_matches_materialized_reference() {
+    for (label, ds) in datasets() {
+        for c in constraints(ds.len()) {
+            let reference = ref_top_down(&ds, &c).expect("satisfiable on seed data");
+            let (table, levels) = TopDown.run(&ds, &c).expect("satisfiable");
+            let ctx = format!("top-down/{label}/{}", c.describe());
+            assert_eq!(levels, reference.0, "{ctx}: final node differs");
+            assert_identical(&ctx, &table, &reference.1);
+        }
+    }
+}
+
+#[test]
+fn greedy_matches_materialized_reference() {
+    for (label, ds) in datasets() {
+        for c in constraints(ds.len()) {
+            let reference = ref_greedy(&ds, &c).expect("satisfiable on seed data");
+            let (table, levels) = GreedyRecoder.run(&ds, &c).expect("satisfiable");
+            let ctx = format!("greedy/{label}/{}", c.describe());
+            assert_eq!(levels, reference.0, "{ctx}: final node differs");
+            assert_identical(&ctx, &table, &reference.1);
+        }
+    }
+}
+
+#[test]
+fn genetic_matches_materialized_reference() {
+    let genetic = Genetic {
+        config: genetic_config(),
+    };
+    for (label, ds) in datasets() {
+        for c in constraints(ds.len()) {
+            let reference = ref_genetic(&ds, &c).expect("satisfiable on seed data");
+            let (table, levels) = genetic.run(&ds, &c).expect("satisfiable");
+            let ctx = format!("genetic/{label}/{}", c.describe());
+            assert_eq!(levels, reference.0, "{ctx}: best individual differs");
             assert_identical(&ctx, &table, &reference.1);
         }
     }

@@ -75,19 +75,19 @@ proptest! {
     #[test]
     fn samarati_output_satisfies(ds in arb_dataset(), k in 1usize..8, budget_pct in 0usize..30) {
         let c = Constraint::k_anonymity(k).with_suppression(ds.len() * budget_pct / 100);
-        check_satisfies("samarati", Samarati::default().anonymize(&ds, &c), &c, ds.len())?;
+        check_satisfies("samarati", Samarati.anonymize(&ds, &c), &c, ds.len())?;
     }
 
     #[test]
     fn incognito_output_satisfies(ds in arb_dataset(), k in 1usize..8, budget_pct in 0usize..30) {
         let c = Constraint::k_anonymity(k).with_suppression(ds.len() * budget_pct / 100);
-        check_satisfies("incognito", Incognito::default().anonymize(&ds, &c), &c, ds.len())?;
+        check_satisfies("incognito", Incognito.anonymize(&ds, &c), &c, ds.len())?;
     }
 
     #[test]
     fn greedy_output_satisfies(ds in arb_dataset(), k in 1usize..8, budget_pct in 0usize..30) {
         let c = Constraint::k_anonymity(k).with_suppression(ds.len() * budget_pct / 100);
-        check_satisfies("greedy", GreedyRecoder::default().anonymize(&ds, &c), &c, ds.len())?;
+        check_satisfies("greedy", GreedyRecoder.anonymize(&ds, &c), &c, ds.len())?;
     }
 
     #[test]
@@ -111,7 +111,6 @@ proptest! {
     fn genetic_output_satisfies(ds in arb_dataset(), k in 1usize..6, seed in 0u64..500) {
         let ga = Genetic {
             config: GeneticConfig { population: 8, generations: 6, seed, ..Default::default() },
-            ..Default::default()
         };
         let c = Constraint::k_anonymity(k).with_suppression(ds.len() / 10);
         check_satisfies("genetic", ga.anonymize(&ds, &c), &c, ds.len())?;
@@ -134,7 +133,7 @@ proptest! {
         for t in [
             Datafly.anonymize(&ds, &c),
             Mondrian.anonymize(&ds, &c),
-            GreedyRecoder::default().anonymize(&ds, &c),
+            GreedyRecoder.anonymize(&ds, &c),
         ].into_iter().flatten() {
             prop_assert!(t.suppressed_count() <= budget);
         }
@@ -149,7 +148,7 @@ proptest! {
         // the output must satisfy the model on non-suppressed classes.
         for (name, result) in [
             ("datafly", Datafly.anonymize(&ds, &c)),
-            ("incognito", Incognito::default().anonymize(&ds, &c)),
+            ("incognito", Incognito.anonymize(&ds, &c)),
             ("mondrian", Mondrian.anonymize(&ds, &c)),
         ] {
             let t = result.unwrap_or_else(|e| panic!("{name} failed: {e}"));

@@ -213,18 +213,10 @@ fn algorithm_benches(out: &mut Vec<BenchEntry>) {
         std::hint::black_box(Datafly.anonymize(&ds, &constraint).expect("satisfiable"));
     }));
     out.push(entry("algorithms", "samarati", rows, iters, || {
-        std::hint::black_box(
-            Samarati::default()
-                .anonymize(&ds, &constraint)
-                .expect("satisfiable"),
-        );
+        std::hint::black_box(Samarati.anonymize(&ds, &constraint).expect("satisfiable"));
     }));
     out.push(entry("algorithms", "incognito", rows, iters, || {
-        std::hint::black_box(
-            Incognito::default()
-                .anonymize(&ds, &constraint)
-                .expect("satisfiable"),
-        );
+        std::hint::black_box(Incognito.anonymize(&ds, &constraint).expect("satisfiable"));
     }));
 }
 
@@ -253,7 +245,7 @@ fn lattice_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
             },
         ));
         out.push(entry("lattice_encoded", "encoded", rows, iters, || {
-            let p = lattice.evaluate_node(&codec, &NODE).expect("valid node");
+            let p = codec.partition(&NODE).expect("valid node");
             std::hint::black_box(p.min_class_size());
         }));
         out.push(entry("lattice_encoded", "coarsen", rows, iters, || {

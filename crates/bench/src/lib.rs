@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Kernel timings and the design-decision ablations are groups of the
-//! `bench_baseline` binary (`BENCH_baseline.json`); `bench_dist` times
-//! sharded runs (`BENCH_dist.json`). See DESIGN.md.
+//! `bench_baseline` binary (`BENCH_baseline.json`). See DESIGN.md.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

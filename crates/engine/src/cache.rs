@@ -384,17 +384,6 @@ impl MemoCache {
     pub fn clear_releases(&self) {
         lock(&self.releases).clear();
     }
-
-    /// Drops all cached artifacts and resets the counters.
-    pub fn clear(&self) {
-        lock(&self.releases).clear();
-        lock(&self.datasets).clear();
-        lock(&self.vectors).clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.vector_hits.store(0, Ordering::Relaxed);
-        self.vector_misses.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]

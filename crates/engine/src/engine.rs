@@ -54,7 +54,6 @@ use anoncmp_core::prelude::{BoundedDistanceLoss, PropertyVector};
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::numeric::{NumericBase, NumericRelease, Release};
 use anoncmp_microdata::parallel::lock;
-use anoncmp_microdata::prelude::AnonymizedTable;
 
 use crate::cache::{CacheStats, MemoCache};
 use crate::chaos::{ChaosConfig, Fault, CHAOS_PANIC_MESSAGE};
@@ -335,11 +334,6 @@ impl Engine {
         *lock(&self.budget) = budget;
     }
 
-    /// Sets the retry policy for transient failures.
-    pub fn set_retry(&self, retry: RetryPolicy) {
-        *lock(&self.retry) = retry;
-    }
-
     /// Sets the retry count, keeping the configured backoff (the CLI's
     /// `--max-retries` flag).
     pub fn set_max_retries(&self, max_retries: u32) {
@@ -357,15 +351,6 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Bounds the release and vector caches (`0` = unbounded), evicting
-    /// least-recently-used entries immediately when a map already exceeds
-    /// its new capacity. Eviction never changes results — an evicted
-    /// release recomputes bit-identically from its content-derived seed —
-    /// so a bounded engine stays deterministic, only slower on re-misses.
-    pub fn set_cache_capacity(&self, releases: usize, vectors: usize) {
-        self.cache.set_capacity(releases, vectors);
-    }
-
     /// Property vectors evicted so far (bounded caches only).
     pub fn vector_cache_evictions(&self) -> u64 {
         self.cache.vector_evictions()
@@ -376,11 +361,6 @@ impl Engine {
     /// any determinism-compared report.
     pub fn vector_cache_stats(&self) -> (u64, u64) {
         self.cache.vector_stats()
-    }
-
-    /// Drops all cached artifacts (mainly for tests).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
     }
 
     /// Drops cached releases but keeps materialized datasets (benchmarks).
@@ -516,19 +496,6 @@ impl Engine {
                 Some(self.cache.insert_release(release_fp, Arc::new(release)))
             }
             _ => None,
-        }
-    }
-
-    /// [`Engine::release_for`] narrowed to the generalized family: the
-    /// convenience most existing call sites (query workloads, renders)
-    /// want. `None` when the job failed **or** produced a perturbative
-    /// release — callers that can handle both families should use
-    /// [`Engine::release_for`].
-    pub fn generalized_release_for(&self, job: &EvalJob) -> Option<Arc<AnonymizedTable>> {
-        let release = self.release_for(job)?;
-        match release.as_ref() {
-            Release::Generalized(table) => Some(Arc::new(table.clone())),
-            Release::Numeric(_) => None,
         }
     }
 

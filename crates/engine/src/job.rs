@@ -322,10 +322,10 @@ impl AlgorithmSpec {
     pub fn instantiate(&self, seed: u64) -> Box<dyn Anonymizer> {
         match *self {
             AlgorithmSpec::Datafly => Box::new(Datafly),
-            AlgorithmSpec::Samarati => Box::new(Samarati::default()),
-            AlgorithmSpec::Incognito => Box::new(Incognito::default()),
+            AlgorithmSpec::Samarati => Box::new(Samarati),
+            AlgorithmSpec::Incognito => Box::new(Incognito),
             AlgorithmSpec::Mondrian => Box::new(Mondrian),
-            AlgorithmSpec::Greedy => Box::new(GreedyRecoder::default()),
+            AlgorithmSpec::Greedy => Box::new(GreedyRecoder),
             AlgorithmSpec::Genetic => {
                 let mut genetic = Genetic::default();
                 genetic.config = GeneticConfig {
@@ -334,10 +334,10 @@ impl AlgorithmSpec {
                 };
                 Box::new(genetic)
             }
-            AlgorithmSpec::TopDown => Box::new(TopDown::default()),
+            AlgorithmSpec::TopDown => Box::new(TopDown),
             AlgorithmSpec::Clustering => Box::new(GreedyCluster),
-            AlgorithmSpec::SubsetIncognito => Box::new(SubsetIncognito::default()),
-            AlgorithmSpec::Optimal => Box::new(OptimalLattice::default()),
+            AlgorithmSpec::SubsetIncognito => Box::new(SubsetIncognito),
+            AlgorithmSpec::Optimal => Box::new(OptimalLattice),
             AlgorithmSpec::Perturb(spec) => unreachable!(
                 "{} is perturbative: apply via PerturbSpec::apply, not Anonymizer",
                 spec.wire_name()

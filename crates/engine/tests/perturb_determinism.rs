@@ -93,8 +93,10 @@ fn release_for_rematerializes_perturbative_releases() {
                 o.record.algorithm
             );
             assert!(
-                fresh.generalized_release_for(&o.job).is_none(),
-                "the generalized narrowing must decline a perturbative job"
+                fresh
+                    .release_for(&o.job)
+                    .is_some_and(|release| release.as_generalized().is_none()),
+                "a perturbative job never rematerializes as a table"
             );
         } else {
             assert!(again.as_generalized().is_some());

@@ -1,8 +1,9 @@
 //! Dictionary-encoded columnar generalization codec.
 //!
-//! Every full-domain lattice search (Samarati, Incognito, the exhaustive
-//! optimal baseline) evaluates thousands of lattice nodes, and evaluating a
-//! node through [`Lattice::apply`] materializes a complete
+//! Every full-domain lattice search (Datafly, Samarati, Incognito, the
+//! exhaustive optimal baseline and the rest of `anoncmp-anonymize`'s
+//! roster) evaluates thousands of lattice nodes, and evaluating a node
+//! through [`Lattice::apply`] materializes a complete
 //! `Vec<Vec<GenValue>>` table and re-hashes every tuple signature. Almost
 //! all of that work is redundant: under full-domain recoding the
 //! generalized value of a cell depends only on `(column, raw value,
@@ -24,8 +25,8 @@
 //! code slices whose equivalence classes are computed by grouping plain
 //! `u32` tuples ([`EquivalenceClasses::group_by_codes`]) — no `GenValue`
 //! clones, no per-row `Vec` signatures. Decoding back to a displayable
-//! [`AnonymizedTable`] happens only for the node a search actually
-//! releases.
+//! [`AnonymizedTable`] happens only for the nodes a search releases or
+//! scores as tables.
 //!
 //! # The class-merge invariant
 //!
@@ -449,7 +450,7 @@ impl GenCodec {
     /// Decodes the node `levels` into a full [`AnonymizedTable`] —
     /// byte-identical to [`Lattice::apply`](crate::lattice::Lattice::apply)
     /// with the same levels. Searches call this only for the nodes they
-    /// actually release.
+    /// release or score as tables.
     ///
     /// # Errors
     /// As [`GenCodec::validate`]; propagates table-construction errors.

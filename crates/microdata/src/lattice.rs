@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use crate::anonymized::AnonymizedTable;
-use crate::codec::{GenCodec, NodePartition};
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -269,40 +268,6 @@ impl Lattice {
         }
         AnonymizedTable::new(dataset.clone(), records, name)
     }
-
-    /// Like [`Lattice::apply`], but through a prebuilt [`GenCodec`]:
-    /// decodes the node from the codec's interned dictionaries instead of
-    /// re-generalizing every cell. Produces a byte-identical
-    /// [`AnonymizedTable`]. Searches should call this only for the nodes
-    /// they actually release and use [`Lattice::evaluate_node`] everywhere
-    /// else.
-    ///
-    /// # Errors
-    /// As [`Lattice::validate`]; propagates codec errors.
-    pub fn apply_encoded(
-        &self,
-        codec: &GenCodec,
-        levels: &[usize],
-        name: impl Into<String>,
-    ) -> Result<AnonymizedTable> {
-        self.validate(levels)?;
-        debug_assert!(
-            Arc::ptr_eq(codec.dataset().schema(), &self.schema)
-                || codec.dataset().schema().len() == self.schema.len()
-        );
-        codec.decode(levels, name)
-    }
-
-    /// Evaluates a lattice node without materializing a table: the
-    /// equivalence-class sizes (plus representatives for incremental
-    /// coarsening) that frequency-set constraint checks need.
-    ///
-    /// # Errors
-    /// As [`Lattice::validate`]; propagates codec errors.
-    pub fn evaluate_node(&self, codec: &GenCodec, levels: &[usize]) -> Result<NodePartition> {
-        self.validate(levels)?;
-        codec.partition(levels)
-    }
 }
 
 /// Lexicographic iterator over all nodes of a [`Lattice`].
@@ -343,6 +308,7 @@ impl Iterator for LatticeIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::GenCodec;
     use crate::intervals::IntervalLadder;
     use crate::schema::{Attribute, Role};
     use crate::taxonomy::Taxonomy;
@@ -538,19 +504,19 @@ mod tests {
         let codec = GenCodec::new(&ds).unwrap();
         for levels in l.iter_all() {
             let direct = l.apply(&ds, &levels, "t").unwrap();
-            let encoded = l.apply_encoded(&codec, &levels, "t").unwrap();
+            let encoded = codec.decode(&levels, "t").unwrap();
             assert_eq!(direct.records(), encoded.records());
-            let part = l.evaluate_node(&codec, &levels).unwrap();
+            let part = codec.partition(&levels).unwrap();
             assert_eq!(part.class_count(), direct.classes().class_count());
             assert_eq!(part.min_class_size(), direct.classes().min_class_size());
         }
-        // Both new APIs validate like `apply`.
+        // Both codec paths validate like `apply`.
         assert!(matches!(
-            l.apply_encoded(&codec, &[0], "t"),
+            codec.decode(&[0], "t"),
             Err(Error::ArityMismatch { .. })
         ));
         assert!(matches!(
-            l.evaluate_node(&codec, &[0, 9]),
+            codec.partition(&[0, 9]),
             Err(Error::LevelOutOfRange { .. })
         ));
     }

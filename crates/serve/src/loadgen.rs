@@ -110,6 +110,9 @@ pub struct PhaseReport {
 /// The full report `anoncmp-loadgen` writes to `BENCH_serve.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
+    /// Cores available to the load generator's process (which also hosts
+    /// the server when self-hosted): the bound on any parallel gain.
+    pub cores: u64,
     /// Warm-phase concurrent clients.
     pub clients: u64,
     /// Persistent keep-alive connections in the warm phase (`0` means
@@ -265,6 +268,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadReport> {
     let cache_hits = server.response_hits + server.cache_hits;
     let cache_total = cache_hits + server.cache_misses;
     Ok(LoadReport {
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
         clients: warm_threads as u64,
         connections: config.connections as u64,
         per_connection_p99_ms,

@@ -26,8 +26,8 @@
 //! trailer back), anything else is parsed as HTTP/1.1. See
 //! `docs/WIRE_PROTOCOL.md` for the full surface.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -323,12 +323,41 @@ fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
 }
 
 /// Writes the `429 overloaded` answer inline on the acceptor thread: a
-/// shed must cost microseconds, not a queue slot.
+/// shed must cost a bounded moment, not a queue slot.
+///
+/// Closing a socket whose request bytes were never read makes the kernel
+/// answer with a TCP reset, which can reach the client before the 429
+/// does. So the answer is followed by a half-close (the client sees the
+/// response, then end of stream) and the request is read and discarded
+/// until the client closes — at most [`SHED_DRAIN_BYTES`] bytes within
+/// [`SHED_LINGER`].
 fn shed(mut stream: TcpStream) {
     let body = ErrorBody::new(ErrorCode::Overloaded, "admission queue full; retry").to_json();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = http::write_response(&mut stream, 429, &body, false);
+    if http::write_response(&mut stream, 429, &body, false).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_LINGER;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < SHED_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }
+
+/// The longest a shed waits for the client to close after the 429.
+const SHED_LINGER: Duration = Duration::from_millis(50);
+
+/// The most request bytes a shed reads and discards.
+const SHED_DRAIN_BYTES: usize = 64 * 1024;
 
 /// Serves one connection to completion, sniffing the protocol from the
 /// first byte: a `{` can never start an HTTP request line, so it selects

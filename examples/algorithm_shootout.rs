@@ -29,10 +29,10 @@ fn main() {
     // Run every algorithm.
     let algos: Vec<Box<dyn Anonymizer>> = vec![
         Box::new(Datafly),
-        Box::new(Samarati::default()),
-        Box::new(Incognito::default()),
+        Box::new(Samarati),
+        Box::new(Incognito),
         Box::new(Mondrian),
-        Box::new(GreedyRecoder::default()),
+        Box::new(GreedyRecoder),
         Box::new(Genetic::default()),
     ];
     let mut releases = Vec::new();

@@ -41,7 +41,7 @@ fn main() {
     let constraint = Constraint::k_anonymity(k).with_suppression(dataset.len() / 20);
     let releases = vec![
         Mondrian.anonymize(&dataset, &constraint).expect("mondrian"),
-        Incognito::default()
+        Incognito
             .anonymize(&dataset, &constraint)
             .expect("incognito"),
         Datafly.anonymize(&dataset, &constraint).expect("datafly"),

@@ -48,7 +48,7 @@ fn main() {
     // Candidate releases from different algorithm families.
     let releases = [
         Mondrian.anonymize(&dataset, &constraint).expect("mondrian"),
-        Incognito::default()
+        Incognito
             .anonymize(&dataset, &constraint)
             .expect("incognito"),
         Genetic::default()

@@ -98,7 +98,7 @@ fn main() {
     // a fixed-k release through the paper's comparators.
     let k = knee.table.classes().min_class_size().max(2);
     let constraint = Constraint::k_anonymity(k).with_suppression(dataset.len() / 20);
-    if let Ok(classical) = Incognito::default().anonymize(&dataset, &constraint) {
+    if let Ok(classical) = Incognito.anonymize(&dataset, &constraint) {
         let knee_v = EqClassSize.extract(&knee.table);
         let classical_v = EqClassSize.extract(&classical);
         let matrix = ComparisonMatrix::of_vectors(

@@ -235,15 +235,15 @@ fn load_csv(path: &str, qi: &[&str], sensitive: &str) -> Result<Arc<Dataset>, St
 fn parse_algo(name: &str) -> Result<Box<dyn Anonymizer>, String> {
     Ok(match name {
         "datafly" => Box::new(Datafly),
-        "samarati" => Box::new(Samarati::default()),
-        "incognito" => Box::new(Incognito::default()),
+        "samarati" => Box::new(Samarati),
+        "incognito" => Box::new(Incognito),
         "mondrian" => Box::new(Mondrian),
-        "greedy" => Box::new(GreedyRecoder::default()),
+        "greedy" => Box::new(GreedyRecoder),
         "genetic" => Box::new(Genetic::default()),
-        "top-down" => Box::new(TopDown::default()),
-        "subset-incognito" => Box::new(SubsetIncognito::default()),
+        "top-down" => Box::new(TopDown),
+        "subset-incognito" => Box::new(SubsetIncognito),
         "clustering" => Box::new(GreedyCluster),
-        "optimal" => Box::new(OptimalLattice::default()),
+        "optimal" => Box::new(OptimalLattice),
         other => return Err(format!("unknown algorithm '{other}'")),
     })
 }

@@ -15,18 +15,38 @@
 use std::sync::Arc;
 
 use anoncmp_microdata::csv::dataset_from_csv;
-use anoncmp_microdata::prelude::{Attribute, Dataset, IntervalLadder, Role, Schema, Taxonomy};
+use anoncmp_microdata::prelude::{
+    Attribute, Dataset, Error, IntervalLadder, Role, Schema, Taxonomy,
+};
 
 /// An automatically nested interval ladder for span `[min, max]`: three
 /// levels splitting the span in roughly sixteenths, quarters, and halves
 /// (minimum width 1). The origin sits just below `min` so the finest
 /// buckets start at the data.
-pub fn auto_ladder(min: i64, max: i64) -> IntervalLadder {
-    let span = (max - min).max(1);
+///
+/// # Errors
+/// [`Error::InvalidHierarchy`] when the span is too wide for 64-bit
+/// bucket arithmetic: the origin `min − 1`, the span, or a bucket bound
+/// above `max` would overflow `i64`.
+pub fn auto_ladder(min: i64, max: i64) -> Result<IntervalLadder, Error> {
+    let too_wide = || {
+        Error::InvalidHierarchy(format!(
+            "integers {min}..={max} are too wide for a 64-bit interval ladder"
+        ))
+    };
+    let origin = min.checked_sub(1).ok_or_else(too_wide)?;
+    let span = max.checked_sub(min).ok_or_else(too_wide)?.max(1);
     let base = (span / 16).max(1);
     let mut widths = vec![base, base * 4, base * 8];
     widths.dedup();
-    IntervalLadder::uniform(min - 1, &widths).expect("auto ladder is nested")
+    // Bucketing a value `v ≤ max` computes `v − origin + width − 1` and
+    // an upper bound below `v + width`.
+    let widest = base * 8;
+    max.checked_sub(origin)
+        .and_then(|delta| delta.checked_add(widest))
+        .and(max.checked_add(widest))
+        .ok_or_else(too_wide)?;
+    IntervalLadder::uniform(origin, &widths)
 }
 
 /// Infers one attribute from its raw cells.
@@ -48,8 +68,9 @@ pub fn infer_attribute(name: &str, role: Role, cells: &[String]) -> Result<Attri
         let max = *values.iter().max().expect("non-empty");
         let mut attr = Attribute::integer(name, role, min, max);
         if role == Role::QuasiIdentifier {
+            let ladder = auto_ladder(min, max).map_err(|e| format!("column '{name}': {e}"))?;
             attr = attr
-                .with_hierarchy(auto_ladder(min, max).into())
+                .with_hierarchy(ladder.into())
                 .map_err(|e| e.to_string())?;
         }
         return Ok(attr);
@@ -198,15 +219,37 @@ mod tests {
 
     #[test]
     fn auto_ladder_shape() {
-        let l = auto_ladder(20, 80);
+        let l = auto_ladder(20, 80).unwrap();
         // span 60 → base 3 → widths [3, 12, 24], origin 19.
         assert_eq!(l.levels().len(), 3);
         assert_eq!(l.levels()[0].width, 3);
         assert_eq!(l.levels()[2].width, 24);
         assert_eq!(l.levels()[0].origin, 19);
         // Tiny span.
-        let l = auto_ladder(5, 5);
+        let l = auto_ladder(5, 5).unwrap();
         assert_eq!(l.levels()[0].width, 1);
+    }
+
+    #[test]
+    fn auto_ladder_refuses_spans_that_overflow() {
+        // `min − 1`, `max − min` and the bucket bounds above `max` would
+        // each wrap around.
+        for (min, max) in [(i64::MIN, 31), (-5, i64::MAX), (i64::MIN + 1, 0)] {
+            assert!(
+                matches!(auto_ladder(min, max), Err(Error::InvalidHierarchy(_))),
+                "{min}..={max}"
+            );
+        }
+        // The widest span that still fits buckets every value in range.
+        let l = auto_ladder(-1_000, i64::MAX / 2).unwrap();
+        for v in [-1_000, 0, i64::MAX / 2] {
+            for level in 1..=l.max_level() {
+                assert!(l.generalize(v, level).is_ok(), "{v} at level {level}");
+            }
+        }
+        let err = dataset_from_csv_inferred("age,d\n-9223372036854775808,x\n30,y\n", &["age"], "d")
+            .unwrap_err();
+        assert!(err.contains("column 'age'"), "{err}");
     }
 
     #[test]

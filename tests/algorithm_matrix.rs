@@ -18,21 +18,20 @@ fn dataset() -> Arc<Dataset> {
 fn algorithms() -> Vec<Box<dyn Anonymizer>> {
     vec![
         Box::new(Datafly),
-        Box::new(Samarati::default()),
-        Box::new(Incognito::default()),
+        Box::new(Samarati),
+        Box::new(Incognito),
         Box::new(Mondrian),
-        Box::new(GreedyRecoder::default()),
+        Box::new(GreedyRecoder),
         Box::new(Genetic {
             config: GeneticConfig {
                 population: 16,
                 generations: 10,
                 ..Default::default()
             },
-            ..Default::default()
         }),
-        Box::new(TopDown::default()),
+        Box::new(TopDown),
         Box::new(GreedyCluster),
-        Box::new(SubsetIncognito::default()),
+        Box::new(SubsetIncognito),
     ]
 }
 
@@ -158,8 +157,8 @@ fn exhaustive_searches_agree_with_each_other() {
     // Samarati's height-minimal choice, under the same preference metric.
     let ds = dataset();
     let c = Constraint::k_anonymity(3).with_suppression(8);
-    let inc = Incognito::default().run(&ds, &c).expect("incognito");
-    let sam = Samarati::default().run(&ds, &c).expect("samarati");
+    let inc = Incognito.run(&ds, &c).expect("incognito");
+    let sam = Samarati.run(&ds, &c).expect("samarati");
     let metric = anoncmp::microdata::loss::LossMetric::classic();
     assert!(metric.total_loss(&inc.table) <= metric.total_loss(&sam.table) + 1e-9);
     // Samarati's chosen node must appear in Incognito's frontier closure

@@ -1,6 +1,7 @@
 //! The `anoncmp` binary refuses options its subcommand does not read,
 //! before doing any work, so a misspelled or retired option is an error
-//! rather than silently ignored.
+//! rather than silently ignored; input it cannot represent is refused the
+//! same way instead of wrapping around.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -102,5 +103,41 @@ fn every_subcommand_refuses_an_option_it_does_not_read() {
     assert_refused(&anoncmp(&serve), "--chunk-threads");
     assert_refused(&anoncmp(&["dist", "--ks", "x", "--jobs", "4"]), "--jobs");
     assert_refused(&anoncmp(&["demo", "--k", "2"]), "--k");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn extreme_integer_column_is_refused_not_wrapped() {
+    let dir = scratch("extreme");
+    let input = dir.join("neg.csv");
+    std::fs::write(
+        &input,
+        "age,zip,diagnosis\n-9223372036854775808,13053,flu\n30,13053,cold\n\
+         31,13068,flu\n25,13068,cold\n",
+    )
+    .expect("temp file is writable");
+    let out = anoncmp(&[
+        "anonymize",
+        "--input",
+        input.to_str().unwrap(),
+        "--qi",
+        "age,zip",
+        "--sensitive",
+        "diagnosis",
+        "--k",
+        "2",
+        "--algo",
+        "mondrian",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("column 'age'"),
+        "the error names the column: {stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("9223372036854775807"),
+        "no wrapped-around interval is printed"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -35,7 +35,7 @@ fn moga_front_dominates_or_matches_constraint_algorithms() {
 
     let c = Constraint::k_anonymity(5).with_suppression(9);
     let metric = anoncmp::microdata::loss::LossMetric::classic();
-    for algo in [&Datafly as &dyn Anonymizer, &Mondrian, &TopDown::default()] {
+    for algo in [&Datafly as &dyn Anonymizer, &Mondrian, &TopDown] {
         let t = algo.anonymize(&ds, &c).expect("feasible");
         let point = vec![
             EqClassSize.extract(&t).mean().expect("non-empty"),
@@ -57,7 +57,7 @@ fn epsilon_comparator_is_consistent_with_dominance_on_real_releases() {
     let ds = dataset();
     let c = Constraint::k_anonymity(3).with_suppression(9);
     let a = Datafly.anonymize(&ds, &c).expect("datafly");
-    let b = Incognito::default().anonymize(&ds, &c).expect("incognito");
+    let b = Incognito.anonymize(&ds, &c).expect("incognito");
     let va = EqClassSize.extract(&a);
     let vb = EqClassSize.extract(&b);
     let eps = EpsilonComparator::default();
@@ -101,7 +101,7 @@ fn comparison_matrix_spans_crates() {
     let releases: Vec<AnonymizedTable> = vec![
         Datafly.anonymize(&ds, &c).expect("datafly"),
         Mondrian.anonymize(&ds, &c).expect("mondrian"),
-        TopDown::default().anonymize(&ds, &c).expect("top-down"),
+        TopDown.anonymize(&ds, &c).expect("top-down"),
     ];
     let names: Vec<&str> = releases.iter().map(|t| t.name()).collect();
     let vectors: Vec<PropertyVector> = releases.iter().map(|t| EqClassSize.extract(t)).collect();

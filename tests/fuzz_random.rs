@@ -26,8 +26,8 @@ fn all_algorithms_survive_random_shapes() {
             Box::new(Datafly),
             Box::new(Mondrian),
             Box::new(GreedyCluster),
-            Box::new(TopDown::default()),
-            Box::new(GreedyRecoder::default()),
+            Box::new(TopDown),
+            Box::new(GreedyRecoder),
         ];
         for algo in algos {
             match algo.anonymize(&ds, &c) {

@@ -210,7 +210,7 @@ fn tutorial_custom_algorithm() {
         assert!(c.satisfied(&t), "k = {k}");
         assert_eq!(t.len(), ds.len());
         // Never better than the exhaustive optimum.
-        let (opt, _, _) = OptimalLattice::default().run(&ds, &c).expect("optimal");
+        let (opt, _, _) = OptimalLattice.run(&ds, &c).expect("optimal");
         let m = anoncmp::microdata::loss::LossMetric::classic();
         assert!(m.total_loss(&t) >= m.total_loss(&opt) - 1e-9);
     }
