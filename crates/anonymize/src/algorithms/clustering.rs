@@ -43,7 +43,9 @@ impl Ctx<'_> {
                     self.dataset.value(a as usize, col),
                     self.dataset.value(b as usize, col),
                 ) {
-                    (Value::Int(x), Value::Int(y)) => (x - y).abs() as f64 / span,
+                    (Value::Int(x), Value::Int(y)) => {
+                        (i128::from(*x) - i128::from(*y)).abs() as f64 / span
+                    }
                     (Value::Cat(x), Value::Cat(y)) if x == y => 0.0,
                     _ => 1.0,
                 }
@@ -72,7 +74,8 @@ impl GreedyCluster {
             .quasi_identifiers()
             .iter()
             .map(|&col| match schema.attribute(col).domain() {
-                Domain::Integer { min, max } => ((max - min).max(1)) as f64,
+                // In i128: an extreme domain's width overflows i64.
+                Domain::Integer { min, max } => (i128::from(*max) - i128::from(*min)).max(1) as f64,
                 Domain::Categorical { .. } => 1.0,
             })
             .collect();
@@ -162,7 +165,23 @@ impl Anonymizer for GreedyCluster {
 mod tests {
     use super::*;
 
-    use crate::algorithms::test_support::small_census;
+    use crate::algorithms::test_support::{extreme_domain_ages, small_census};
+
+    #[test]
+    fn extreme_integer_domain_clusters_without_overflow() {
+        // The domain's width, 2^64 − 1, overflows i64, and so does the
+        // distance between the second set's two ends.
+        let c = Constraint::k_anonymity(2);
+        for ages in [
+            [10, 20, 30, 40],
+            [-i64::MAX, 1 - i64::MAX, i64::MAX - 1, i64::MAX],
+        ] {
+            let ds = extreme_domain_ages(&ages);
+            let (t, parts) = GreedyCluster.run(&ds, &c).unwrap();
+            assert!(c.satisfied(&t));
+            assert_eq!(parts, vec![vec![0, 1], vec![2, 3]]);
+        }
+    }
 
     #[test]
     fn output_is_k_anonymous() {

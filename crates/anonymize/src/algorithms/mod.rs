@@ -79,7 +79,7 @@ pub(crate) mod test_support {
     use std::sync::Arc;
 
     use anoncmp_datagen::census::{generate, CensusConfig};
-    use anoncmp_microdata::prelude::Dataset;
+    use anoncmp_microdata::prelude::{Attribute, Dataset, Role, Schema, Value};
 
     /// A small deterministic census sample shared by algorithm tests.
     pub fn small_census() -> Arc<Dataset> {
@@ -97,5 +97,19 @@ pub(crate) mod test_support {
             seed: 123,
             zip_pool: 25,
         })
+    }
+
+    /// One age per row on the widest integer domain, whose width
+    /// `i64::MAX − i64::MIN` does not fit in an `i64`.
+    pub fn extreme_domain_ages(ages: &[i64]) -> Arc<Dataset> {
+        let schema = Schema::new(vec![Attribute::integer(
+            "age",
+            Role::QuasiIdentifier,
+            i64::MIN,
+            i64::MAX,
+        )])
+        .unwrap();
+        let rows = ages.iter().map(|&age| vec![Value::Int(age)]).collect();
+        Dataset::new(schema, rows).unwrap()
     }
 }

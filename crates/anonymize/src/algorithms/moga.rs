@@ -17,12 +17,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use anoncmp_core::bias::gini;
-use anoncmp_core::pareto::{
-    crowding_distance, non_dominated_sort_by, nsga2_order_by, pareto_front,
-};
-use anoncmp_core::prelude::{
-    ComparisonMatrix, DominanceComparator, EqClassSize, Preference, Property, PropertyVector,
-};
+use anoncmp_core::pareto::{nsga2_order, pareto_front};
+use anoncmp_core::prelude::{EqClassSize, Property};
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, LevelVector, NodePartition};
 
@@ -279,11 +275,14 @@ impl MultiObjectiveGenetic {
             // Variation: binary tournaments on (front, crowding), one-point
             // crossover, ±1 mutation.
             let points: Vec<Vec<f64>> = population.iter().map(|i| i.objectives.clone()).collect();
-            let order = rank_lookup(&points);
+            let mut rank = vec![0usize; points.len()];
+            for (position, i) in nsga2_order(&points).into_iter().enumerate() {
+                rank[i] = position;
+            }
             let mut offspring: Vec<Individual> = Vec::with_capacity(self.config.population);
             while offspring.len() < self.config.population {
-                let a = tournament(&mut rng, &order);
-                let b = tournament(&mut rng, &order);
+                let a = tournament(&mut rng, &rank);
+                let b = tournament(&mut rng, &rank);
                 let cut = rng.gen_range(0..=population[a].levels.len());
                 let mut child: LevelVector = population[a].levels[..cut]
                     .iter()
@@ -306,13 +305,10 @@ impl MultiObjectiveGenetic {
                 }
                 offspring.push(self.evaluate(codec, child)?);
             }
-            // Environmental selection: μ+λ, keep the NSGA-II best. Fronts
-            // come from one batched dominance matrix over the pooled
-            // population instead of per-pair point comparisons.
+            // Environmental selection: μ+λ, keep the NSGA-II best.
             population.extend(offspring);
             let points: Vec<Vec<f64>> = population.iter().map(|i| i.objectives.clone()).collect();
-            let matrix = dominance_matrix(&points);
-            let keep = nsga2_order_by(&points, |i, j| matrix.outcome(i, j) == Preference::First);
+            let keep = nsga2_order(&points);
             let mut next: Vec<Individual> = Vec::with_capacity(self.config.population);
             let mut taken = vec![false; population.len()];
             for &i in keep.iter().take(self.config.population) {
@@ -347,42 +343,6 @@ impl MultiObjectiveGenetic {
         });
         Ok(solutions)
     }
-}
-
-/// All-pairs dominance over objective points, computed by the batched
-/// [`ComparisonMatrix`] kernel. Its [`Preference::First`] entries coincide
-/// exactly with `point_strongly_dominates` (weak dominance forward without
-/// weak dominance backward ⟺ `≥` everywhere and `>` somewhere), so
-/// matrix-fed sorting reproduces the point-based sort bit for bit.
-fn dominance_matrix(points: &[Vec<f64>]) -> ComparisonMatrix {
-    let names: Vec<String> = (0..points.len()).map(|i| i.to_string()).collect();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let vectors: Vec<PropertyVector> = points
-        .iter()
-        .map(|p| PropertyVector::new("objectives", p.clone()))
-        .collect();
-    ComparisonMatrix::of_vectors(&name_refs, &vectors, &DominanceComparator)
-}
-
-/// Maps each index to its NSGA-II survival rank (0 = best).
-fn rank_lookup(points: &[Vec<f64>]) -> Vec<usize> {
-    let matrix = dominance_matrix(points);
-    let fronts = non_dominated_sort_by(points.len(), |i, j| {
-        matrix.outcome(i, j) == Preference::First
-    });
-    let mut rank = vec![0usize; points.len()];
-    let mut position = 0usize;
-    for front in fronts {
-        let front_points: Vec<Vec<f64>> = front.iter().map(|&i| points[i].clone()).collect();
-        let crowd = crowding_distance(&front_points);
-        let mut ranked: Vec<(usize, f64)> = front.into_iter().zip(crowd).collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("crowding is not NaN"));
-        for (i, _) in ranked {
-            rank[i] = position;
-            position += 1;
-        }
-    }
-    rank
 }
 
 /// Binary tournament: the individual with the smaller survival rank wins.

@@ -125,8 +125,9 @@ impl Mondrian {
                     .map(|&t| dataset.value(t as usize, col).as_int().expect("int column"))
                     .max()
                     .expect("non-empty partition");
-                let span = (max - min).max(1) as f64;
-                (hi - lo) as f64 / span
+                // In i128: an extreme domain's width overflows i64.
+                let span = (i128::from(*max) - i128::from(*min)).max(1) as f64;
+                (i128::from(hi) - i128::from(lo)) as f64 / span
             }
             Domain::Categorical { labels } => {
                 let mut cats: Vec<u32> = part
@@ -196,7 +197,19 @@ mod tests {
 
     use anoncmp_microdata::prelude::GenValue;
 
-    use crate::algorithms::test_support::{medium_census, small_census};
+    use crate::algorithms::test_support::{extreme_domain_ages, medium_census, small_census};
+
+    #[test]
+    fn extreme_integer_domain_is_measured_without_overflow() {
+        // The domain's width, 2^64 − 1, overflows i64; it rounds to 2^64.
+        let ds = extreme_domain_ages(&[10, 20, 30, 40]);
+        let range = Mondrian::normalized_range(&ds, 0, &[0, 1, 2, 3]);
+        assert_eq!(range, 30.0 / 2f64.powi(64));
+        let c = Constraint::k_anonymity(2);
+        let (t, parts) = Mondrian.run(&ds, &c).unwrap();
+        assert!(c.satisfied(&t));
+        assert_eq!(parts, vec![vec![0, 1], vec![2, 3]]);
+    }
 
     #[test]
     fn output_is_k_anonymous_with_bounded_partitions() {

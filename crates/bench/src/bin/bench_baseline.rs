@@ -1,8 +1,7 @@
 //! Emits `BENCH_baseline.json`: machine-readable wall-clock baselines for
 //! the `algorithms`, `grouping`, `loss_cache`, `hv_log_vs_exact`,
-//! `lattice_encoded`, `property_extraction`, `comparator_matrix` and
-//! `perturbative` bench groups, with per-entry peak RSS and the host's
-//! core count.
+//! `lattice_encoded`, `property_extraction` and `perturbative` bench
+//! groups, with per-entry peak RSS and the host's core count.
 //!
 //! This is the workspace's one kernel-level bench harness: it records a
 //! single JSON snapshot that CI and the README perf note can diff against.
@@ -73,10 +72,6 @@ struct Baseline {
     /// Speedup of encoded property extraction over the materialize-then-
     /// extract path at the largest measured size.
     extraction_speedup_50k: f64,
-    /// Speedup of the batched `ComparisonMatrix` kernel over the scalar
-    /// all-ordered-pairs sweep for 32 candidates (summed over the cov,
-    /// rank, and hv comparators).
-    matrix_speedup_m32: f64,
     /// Perturbative-wing equivalence and speedup summary.
     perturbative: Perturbative,
     /// The worst per-entry peak RSS (plus the final read), in MiB.
@@ -338,7 +333,6 @@ fn main() {
     algorithm_benches(&mut benches);
     lattice_benches(&mut benches, &ROW_GROUPS);
     property_extraction_benches(&mut benches, &ROW_GROUPS);
-    comparator_matrix_benches(&mut benches);
     let perturbative = perturbative_benches(&mut benches);
 
     // Speedups are quoted at the largest size.
@@ -348,28 +342,6 @@ fn main() {
         _ => 0.0,
     };
     let materialized = min_of(&benches, "lattice_encoded", "materialized", rows);
-    let scalar_total: f64 = ["cov", "rank", "hv"]
-        .iter()
-        .filter_map(|t| {
-            min_of(
-                &benches,
-                "comparator_matrix",
-                &format!("scalar_{t}"),
-                10_000,
-            )
-        })
-        .sum();
-    let matrix_total: f64 = ["cov", "rank", "hv"]
-        .iter()
-        .filter_map(|t| {
-            min_of(
-                &benches,
-                "comparator_matrix",
-                &format!("matrix_{t}"),
-                10_000,
-            )
-        })
-        .sum();
     let baseline = Baseline {
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         encoded_speedup_50k: ratio(
@@ -384,7 +356,6 @@ fn main() {
             min_of(&benches, "property_extraction", "materialized", rows),
             min_of(&benches, "property_extraction", "encoded", rows),
         ),
-        matrix_speedup_m32: ratio(Some(scalar_total), Some(matrix_total)),
         perturbative,
         // Per-entry resets wiped the process-lifetime VmHWM, so the
         // recorded number is the worst window: max over entries plus a
@@ -403,8 +374,8 @@ fn main() {
         baseline.encoded_speedup_50k, baseline.coarsen_speedup_50k
     );
     eprintln!(
-        "property extraction speedup: {:.1}x, comparator matrix at M=32: {:.1}x",
-        baseline.extraction_speedup_50k, baseline.matrix_speedup_m32
+        "property extraction speedup: {:.1}x",
+        baseline.extraction_speedup_50k
     );
     eprintln!(
         "perturbative extraction at {} rows: fast/naive bit-identical: {}, speedup {:.2}x",
@@ -478,59 +449,5 @@ fn perturbative_benches(out: &mut Vec<BenchEntry>) -> Perturbative {
             (Some(n), Some(f)) if f > 0.0 => n / f,
             _ => 0.0,
         },
-    }
-}
-
-/// Candidate pool for the matrix benches: `m` vectors of `n` tuples.
-fn candidate_pool(m: usize, n: usize) -> Vec<PropertyVector> {
-    (0..m)
-        .map(|i| {
-            PropertyVector::new(
-                format!("c{i}"),
-                (0..n)
-                    .map(|t| ((i * 7 + t * 11) % 13) as f64 + 1.0)
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn comparator_matrix_benches(out: &mut Vec<BenchEntry>) {
-    let (m, n) = (32usize, 10_000usize);
-    let pool = candidate_pool(m, n);
-    let names: Vec<String> = (0..m).map(|i| i.to_string()).collect();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let refs: Vec<&PropertyVector> = pool.iter().collect();
-    let comparators: Vec<(&str, Box<dyn Comparator>)> = vec![
-        ("cov", Box::new(CoverageComparator)),
-        ("rank", Box::new(RankComparator::toward_ideal_of(&refs))),
-        ("hv", Box::new(HypervolumeComparator::default())),
-    ];
-    let iters = 5;
-    for (tag, c) in &comparators {
-        out.push(entry(
-            "comparator_matrix",
-            &format!("scalar_{tag}"),
-            n,
-            iters,
-            || {
-                for i in 0..m {
-                    for j in 0..m {
-                        if i != j {
-                            std::hint::black_box(c.compare(&pool[i], &pool[j]));
-                        }
-                    }
-                }
-            },
-        ));
-        out.push(entry(
-            "comparator_matrix",
-            &format!("matrix_{tag}"),
-            n,
-            iters,
-            || {
-                std::hint::black_box(ComparisonMatrix::of_vectors(&name_refs, &pool, c.as_ref()));
-            },
-        ));
     }
 }

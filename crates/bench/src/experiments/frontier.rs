@@ -68,9 +68,9 @@ pub fn e14_frontier_with(rows: usize) -> String {
     })
     .collect();
     let sweep = Engine::global().run(&jobs);
-    // Frontier samples and classical points form one candidate list; a
-    // single batched dominance matrix then answers every placement query
-    // (`First` at (frontier, classical) ⟺ strict point dominance).
+    // Frontier samples and classical points form one candidate list; one
+    // dominance matrix then answers every placement query (`First` at
+    // (frontier, classical) ⟺ strict point dominance).
     let mut candidates: Vec<PropertyVector> = front
         .iter()
         .map(|s| PropertyVector::new("objectives", s.objectives.clone()))

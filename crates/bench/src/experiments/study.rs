@@ -129,8 +129,7 @@ fn format_k(k: usize, max_suppression: usize, outcomes: &[&JobOutcome]) -> Strin
         ));
     }
 
-    // Pairwise tournaments on privacy: one batched matrix per comparator —
-    // the kernel evaluates each unordered pair once instead of twice.
+    // Pairwise tournaments on privacy: one matrix per comparator.
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let cov = ComparisonMatrix::of_vectors(&name_refs, &vectors, &CoverageComparator);
     let spr = ComparisonMatrix::of_vectors(&name_refs, &vectors, &SpreadComparator);

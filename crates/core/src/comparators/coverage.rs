@@ -6,7 +6,7 @@
 //! `P_cov(D₁,D₂) = |{ i : d_i¹ ≥ d_i² }| / N`, and
 //! `D₁ ▶cov D₂ ⟺ P_cov(D₁,D₂) > P_cov(D₂,D₁)`.
 
-use crate::comparators::{prefer_higher, BatchSpec, Comparator, Preference};
+use crate::comparators::{prefer_higher, Comparator, Preference};
 use crate::index::BinaryIndex;
 use crate::vector::PropertyVector;
 
@@ -41,10 +41,6 @@ impl Comparator for CoverageComparator {
 
     fn compare(&self, d1: &PropertyVector, d2: &PropertyVector) -> Preference {
         prefer_higher(coverage_index(d1, d2), coverage_index(d2, d1), 0.0)
-    }
-
-    fn batch_spec(&self, _vectors: &[PropertyVector]) -> BatchSpec {
-        BatchSpec::Coverage
     }
 }
 

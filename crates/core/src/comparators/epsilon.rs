@@ -15,7 +15,7 @@
 //! comparator of choice when the concern is the most-disadvantaged
 //! individual (a maximin reading of anonymization bias).
 
-use crate::comparators::{prefer_lower, BatchSpec, Comparator, Preference};
+use crate::comparators::{prefer_lower, Comparator, Preference};
 use crate::index::BinaryIndex;
 use crate::vector::PropertyVector;
 
@@ -101,13 +101,6 @@ impl Comparator for EpsilonComparator {
 
     fn compare(&self, d1: &PropertyVector, d2: &PropertyVector) -> Preference {
         prefer_lower(self.index(d1, d2), self.index(d2, d1), 0.0)
-    }
-
-    fn batch_spec(&self, _vectors: &[PropertyVector]) -> BatchSpec {
-        match self.kind {
-            EpsilonKind::Additive => BatchSpec::AdditiveEpsilon,
-            EpsilonKind::Multiplicative => BatchSpec::MultiplicativeEpsilon,
-        }
     }
 }
 

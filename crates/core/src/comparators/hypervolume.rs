@@ -15,7 +15,7 @@
 //! (DESIGN.md decision 3; the `hv_log_vs_exact` bench demonstrates the
 //! agreement).
 
-use crate::comparators::{prefer_higher, BatchSpec, Comparator, Preference};
+use crate::comparators::{prefer_higher, Comparator, Preference};
 use crate::index::BinaryIndex;
 use crate::vector::PropertyVector;
 
@@ -49,22 +49,6 @@ pub fn hypervolume_index(d1: &PropertyVector, d2: &PropertyVector) -> f64 {
 pub fn log_volume_proxy(d: &PropertyVector) -> f64 {
     assert_positive(d);
     d.iter().map(f64::ln).sum()
-}
-
-/// `Π_i d_i`: the "own" product term of [`hypervolume_index`], with the
-/// same positivity check and fold order. Precomputed once per candidate by
-/// the batch kernel.
-pub(crate) fn own_product(d: &PropertyVector) -> f64 {
-    assert_positive(d);
-    d.iter().product()
-}
-
-/// `Π_i min(d_i¹, d_i²)`: the min-product term of [`hypervolume_index`],
-/// symmetric in its arguments and computed once per unordered pair by the
-/// batch kernel. Same dimension check and fold order as the scalar path.
-pub(crate) fn shared_min_product(d1: &PropertyVector, d2: &PropertyVector) -> f64 {
-    assert_eq!(d1.len(), d2.len(), "hypervolume requires equal dimensions");
-    d1.iter().zip(d2.iter()).map(|(a, b)| a.min(b)).product()
 }
 
 fn assert_positive(d: &PropertyVector) {
@@ -124,24 +108,6 @@ impl Comparator for HypervolumeComparator {
             prefer_higher(log_volume_proxy(d1), log_volume_proxy(d2), 0.0)
         } else {
             prefer_higher(hypervolume_index(d1, d2), hypervolume_index(d2, d1), 0.0)
-        }
-    }
-
-    /// In log mode each vector's proxy is a per-vector key; in exact mode
-    /// the own products are precomputed per vector and only the symmetric
-    /// min-product term remains per pair.
-    fn batch_spec(&self, vectors: &[PropertyVector]) -> BatchSpec {
-        let n = vectors.first().map_or(0, PropertyVector::len);
-        if self.use_log(n) {
-            BatchSpec::Keyed {
-                keys: vectors.iter().map(log_volume_proxy).collect(),
-                lower_is_better: false,
-                epsilon: 0.0,
-            }
-        } else {
-            BatchSpec::HypervolumeExact {
-                own: vectors.iter().map(own_product).collect(),
-            }
         }
     }
 }

@@ -19,7 +19,6 @@ pub use coverage::{coverage_index, CoverageComparator};
 pub use epsilon::{
     additive_epsilon_index, multiplicative_epsilon_index, EpsilonComparator, EpsilonKind,
 };
-pub(crate) use hypervolume::shared_min_product;
 pub use hypervolume::{hypervolume_index, log_volume_proxy, HvMode, HypervolumeComparator};
 pub use rank::{rank_index, RankComparator};
 pub use spread::{spread_index, NormalizedSpread, SpreadComparator};
@@ -76,75 +75,6 @@ pub trait Comparator {
     /// Compares two property vectors measuring the same property on the
     /// same dataset.
     fn compare(&self, d1: &PropertyVector, d2: &PropertyVector) -> Preference;
-
-    /// How the all-pairs kernel
-    /// ([`ComparisonMatrix`](crate::summary::ComparisonMatrix)) may batch
-    /// this comparator over a candidate list.
-    ///
-    /// The default is [`BatchSpec::Pairwise`]: no assumptions, every
-    /// ordered pair goes through [`Comparator::compare`]. An
-    /// implementation overriding this must return a spec whose kernel
-    /// evaluation is **bit-identical** to calling `compare` on every
-    /// ordered pair — the kernel shares work (per-vector keys, symmetric
-    /// per-pair index values) but never changes the floating-point
-    /// operations or their order. The spec may assume all candidates share
-    /// one dimension, as vectors induced on anonymizations of the same
-    /// dataset always do (§3).
-    fn batch_spec(&self, vectors: &[PropertyVector]) -> BatchSpec {
-        let _ = vectors;
-        BatchSpec::Pairwise
-    }
-}
-
-/// Batched evaluation strategy for computing all pairwise preferences of a
-/// comparator over a candidate list (the [`ComparisonMatrix`] kernel in
-/// [`crate::summary`]).
-///
-/// Each variant tells the kernel how to reproduce
-/// [`Comparator::compare`] bit-for-bit while sharing work across pairs:
-/// per-vector quantities (scalar keys, own hypervolume products) are
-/// computed once per vector instead of once per comparison, and index
-/// values of an unordered pair are computed once instead of twice — the
-/// mirrored matrix entry reuses them with the arguments swapped, which is
-/// exactly what the scalar path would recompute.
-///
-/// [`ComparisonMatrix`]: crate::summary::ComparisonMatrix
-#[derive(Debug, Clone)]
-pub enum BatchSpec {
-    /// The comparator reduces each vector to one scalar index; pairs
-    /// compare keys under an absolute tolerance. `keys[i]` must equal the
-    /// index value the scalar path computes for candidate `i`.
-    Keyed {
-        /// Per-vector index values, aligned with the candidate list.
-        keys: Vec<f64>,
-        /// Whether a smaller key wins (e.g. rank distance) or a larger one
-        /// (e.g. the log-volume proxy).
-        lower_is_better: bool,
-        /// Keys within this tolerance tie.
-        epsilon: f64,
-    },
-    /// Coverage indices both ways, once per unordered pair
-    /// ([`CoverageComparator`]).
-    Coverage,
-    /// Spread indices both ways, once per unordered pair
-    /// ([`SpreadComparator`]).
-    Spread,
-    /// Additive ε-indicator both ways, once per unordered pair.
-    AdditiveEpsilon,
-    /// Multiplicative ε-indicator both ways, once per unordered pair.
-    MultiplicativeEpsilon,
-    /// Exact hypervolume with per-vector own products precomputed; the
-    /// min-product term is symmetric in the pair and computed once.
-    HypervolumeExact {
-        /// `Π_i d_i` for each candidate, in candidate order.
-        own: Vec<f64>,
-    },
-    /// Weak-dominance checks both ways, once per unordered pair
-    /// ([`DominanceComparator`]).
-    Dominance,
-    /// No batching contract: call [`Comparator::compare`] on every ordered
-    /// pair. The safe default for arbitrary user comparators.
-    Pairwise,
 }
 
 /// Adapter exposing strict dominance (§4) through the [`Comparator`] API:
@@ -165,10 +95,6 @@ impl Comparator for DominanceComparator {
             DominanceRelation::SecondDominates => Preference::Second,
             DominanceRelation::Incomparable => Preference::Incomparable,
         }
-    }
-
-    fn batch_spec(&self, _vectors: &[PropertyVector]) -> BatchSpec {
-        BatchSpec::Dominance
     }
 }
 

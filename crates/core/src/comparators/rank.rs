@@ -8,7 +8,7 @@
 //! read as "an estimate of the bias present in an anonymization w.r.t. a
 //! particular property".
 
-use crate::comparators::{prefer_lower, BatchSpec, Comparator, Preference};
+use crate::comparators::{prefer_lower, Comparator, Preference};
 use crate::vector::PropertyVector;
 
 /// `P_rank(D) = ‖D − D_max‖` (Euclidean).
@@ -85,17 +85,6 @@ impl Comparator for RankComparator {
 
     fn compare(&self, d1: &PropertyVector, d2: &PropertyVector) -> Preference {
         prefer_lower(self.rank(d1), self.rank(d2), self.epsilon)
-    }
-
-    /// Each vector's rank is a function of that vector alone; the batch
-    /// kernel computes it once per candidate instead of once per
-    /// comparison (`M` distance evaluations instead of `M(M−1)·2`).
-    fn batch_spec(&self, vectors: &[PropertyVector]) -> BatchSpec {
-        BatchSpec::Keyed {
-            keys: vectors.iter().map(|d| self.rank(d)).collect(),
-            lower_is_better: true,
-            epsilon: self.epsilon,
-        }
     }
 }
 

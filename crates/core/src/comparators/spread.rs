@@ -8,7 +8,7 @@
 //! `D₁ ▶spr D₂ ⟺ P_spr(D₁,D₂) > P_spr(D₂,D₁)` and the useful identity
 //! `P_spr(D₁,D₂) = 0 ⟺ D₂ ⪰ D₁`.
 
-use crate::comparators::{prefer_higher, BatchSpec, Comparator, Preference};
+use crate::comparators::{prefer_higher, Comparator, Preference};
 use crate::index::BinaryIndex;
 use crate::vector::PropertyVector;
 
@@ -45,10 +45,6 @@ impl Comparator for SpreadComparator {
 
     fn compare(&self, d1: &PropertyVector, d2: &PropertyVector) -> Preference {
         prefer_higher(spread_index(d1, d2), spread_index(d2, d1), 0.0)
-    }
-
-    fn batch_spec(&self, _vectors: &[PropertyVector]) -> BatchSpec {
-        BatchSpec::Spread
     }
 }
 

@@ -68,37 +68,6 @@ fn count_ge(a: &[f64], b: &[f64]) -> usize {
     count
 }
 
-/// Both weak-dominance directions of one pair in a single fused pass:
-/// `(d1 ⪰ d2, d2 ⪰ d1)`. Equivalent to two [`weakly_dominates`] calls but
-/// reads each slice once — the kernel behind
-/// [`ComparisonMatrix`](crate::summary::ComparisonMatrix)'s dominance
-/// batch, where every pair needs both directions.
-///
-/// # Panics
-/// Panics if dimensions differ.
-pub fn dominance_pair(d1: &PropertyVector, d2: &PropertyVector) -> (bool, bool) {
-    assert_eq!(d1.len(), d2.len(), "dominance requires equal dimensions");
-    const LANES: usize = 8;
-    let (a, b) = (d1.values(), d2.values());
-    let mut fwd_lanes = [0usize; LANES];
-    let mut bwd_lanes = [0usize; LANES];
-    let mut ac = a.chunks_exact(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for (ab, bb) in (&mut ac).zip(&mut bc) {
-        for (i, (&x, &y)) in ab.iter().zip(bb).enumerate() {
-            fwd_lanes[i] += usize::from(x >= y);
-            bwd_lanes[i] += usize::from(y >= x);
-        }
-    }
-    let mut fwd: usize = fwd_lanes.iter().sum();
-    let mut bwd: usize = bwd_lanes.iter().sum();
-    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        fwd += usize::from(x >= y);
-        bwd += usize::from(y >= x);
-    }
-    (fwd == a.len(), bwd == a.len())
-}
-
 /// Whether `d1 ≻ d2`: `d1 ⪰ d2` and strictly better in at least one
 /// component ("`G₁` is better than `G₂`", Table 4 row 2).
 pub fn strongly_dominates(d1: &PropertyVector, d2: &PropertyVector) -> bool {
@@ -242,33 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_pair_matches_two_calls() {
-        // Long enough to exercise both the 8-lane blocks and the remainder.
-        let xs: Vec<f64> = (0..21).map(|i| f64::from(i % 5)).collect();
-        let ys: Vec<f64> = (0..21).map(|i| f64::from((i * 3) % 5)).collect();
-        for (a, b) in [
-            (v(&xs), v(&ys)),
-            (v(&[1.0, 2.0]), v(&[2.0, 1.0])),
-            (v(&[3.0; 9]), v(&[3.0; 9])),
-            (v(&[]), v(&[])),
-        ] {
-            assert_eq!(
-                dominance_pair(&a, &b),
-                (weakly_dominates(&a, &b), weakly_dominates(&b, &a))
-            );
-        }
-    }
-
-    #[test]
     fn nan_components_break_dominance_both_ways() {
         // NaN compares false under both ≥ directions, so a NaN component
-        // must make the pair incomparable — for the scalar path and the
-        // fused kernel alike.
+        // must make the pair incomparable.
         let a = v(&[1.0, f64::NAN, 3.0]);
         let b = v(&[1.0, 2.0, 3.0]);
         assert!(!weakly_dominates(&a, &b));
         assert!(!weakly_dominates(&b, &a));
-        assert_eq!(dominance_pair(&a, &b), (false, false));
         assert_eq!(relation(&a, &b), DominanceRelation::Incomparable);
     }
 

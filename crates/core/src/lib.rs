@@ -63,9 +63,9 @@ pub mod prelude {
     pub use crate::bias::{gini, lorenz_curve, BiasReport};
     pub use crate::comparators::{
         additive_epsilon_index, coverage_index, hypervolume_index, log_volume_proxy,
-        multiplicative_epsilon_index, rank_index, spread_index, BatchSpec, Comparator,
-        CoverageComparator, DominanceComparator, EpsilonComparator, EpsilonKind, HvMode,
-        HypervolumeComparator, NormalizedSpread, Preference, RankComparator, SpreadComparator,
+        multiplicative_epsilon_index, rank_index, spread_index, Comparator, CoverageComparator,
+        DominanceComparator, EpsilonComparator, EpsilonKind, HvMode, HypervolumeComparator,
+        NormalizedSpread, Preference, RankComparator, SpreadComparator,
     };
     pub use crate::dominance::{
         non_dominated, relation, set_relation, set_strongly_dominates, set_weakly_dominates,
@@ -76,8 +76,8 @@ pub mod prelude {
         BoundedDistanceLoss, NeighborhoodRisk, RiskMetric, DEFAULT_RISK_NEIGHBORHOOD,
     };
     pub use crate::pareto::{
-        crowding_distance, non_dominated_sort, non_dominated_sort_by, nsga2_order, nsga2_order_by,
-        pareto_front, point_strongly_dominates, point_weakly_dominates,
+        crowding_distance, non_dominated_sort, nsga2_order, pareto_front, point_strongly_dominates,
+        point_weakly_dominates,
     };
     pub use crate::preference::{
         GoalBasis, GoalComparator, LexicographicComparator, SetComparator, WeightedComparator,

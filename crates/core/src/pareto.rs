@@ -55,21 +55,7 @@ pub fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
 /// `F₀, F₁, …` where `F₀` is the Pareto front and each `F_{k+1}` is the
 /// front after removing `F₀ … F_k`.
 pub fn non_dominated_sort(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    non_dominated_sort_by(points.len(), |i, j| {
-        point_strongly_dominates(&points[i], &points[j])
-    })
-}
-
-/// Non-dominated sorting driven by an arbitrary dominance predicate:
-/// `dominates(i, j)` says whether candidate `i` strongly dominates
-/// candidate `j`. This lets a precomputed pairwise structure — e.g. a
-/// [`ComparisonMatrix`](crate::summary::ComparisonMatrix) built under the
-/// dominance comparator — feed the sort without re-deriving relations.
-/// Iteration order matches [`non_dominated_sort`] exactly.
-pub fn non_dominated_sort_by(
-    n: usize,
-    dominates_pred: impl Fn(usize, usize) -> bool,
-) -> Vec<Vec<usize>> {
+    let n = points.len();
     if n == 0 {
         return Vec::new();
     }
@@ -79,10 +65,10 @@ pub fn non_dominated_sort_by(
     let mut dominates: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
         for j in (i + 1)..n {
-            if dominates_pred(i, j) {
+            if point_strongly_dominates(&points[i], &points[j]) {
                 dominates[i].push(j);
                 dominated_by[j] += 1;
-            } else if dominates_pred(j, i) {
+            } else if point_strongly_dominates(&points[j], &points[i]) {
                 dominates[j].push(i);
                 dominated_by[i] += 1;
             }
@@ -147,19 +133,7 @@ pub fn crowding_distance(points: &[Vec<f64>]) -> Vec<f64> {
 /// Convenience: sorts point indices by `(front rank ascending, crowding
 /// distance descending)` — NSGA-II's survival order.
 pub fn nsga2_order(points: &[Vec<f64>]) -> Vec<usize> {
-    nsga2_order_by(points, |i, j| {
-        point_strongly_dominates(&points[i], &points[j])
-    })
-}
-
-/// [`nsga2_order`] driven by an arbitrary dominance predicate, mirroring
-/// [`non_dominated_sort_by`]: fronts come from `dominates_pred`, crowding
-/// distances from the objective values in `points`.
-pub fn nsga2_order_by(
-    points: &[Vec<f64>],
-    dominates_pred: impl Fn(usize, usize) -> bool,
-) -> Vec<usize> {
-    let fronts = non_dominated_sort_by(points.len(), dominates_pred);
+    let fronts = non_dominated_sort(points);
     let mut order = Vec::with_capacity(points.len());
     for front in fronts {
         let front_points: Vec<Vec<f64>> = front.iter().map(|&i| points[i].clone()).collect();
@@ -265,26 +239,6 @@ mod tests {
         ];
         let d = crowding_distance(&pts);
         assert!(d.iter().all(|x| !x.is_nan()));
-    }
-
-    #[test]
-    fn sort_by_predicate_matches_point_sort() {
-        let pts: Vec<Vec<f64>> = (0..8)
-            .map(|i| vec![((i * 3) % 5) as f64, ((i * 7) % 5) as f64])
-            .collect();
-        let direct = non_dominated_sort(&pts);
-        let by =
-            non_dominated_sort_by(pts.len(), |i, j| point_strongly_dominates(&pts[i], &pts[j]));
-        assert_eq!(direct, by);
-    }
-
-    #[test]
-    fn nsga2_order_by_predicate_matches_direct() {
-        let pts: Vec<Vec<f64>> = (0..9)
-            .map(|i| vec![((i * 2) % 7) as f64, ((i * 5) % 7) as f64])
-            .collect();
-        let by = nsga2_order_by(&pts, |i, j| point_strongly_dominates(&pts[i], &pts[j]));
-        assert_eq!(by, nsga2_order(&pts));
     }
 
     #[test]

@@ -2,129 +2,31 @@
 //!
 //! The paper's comparators are pairwise; real studies (its §1: "to better
 //! compare anonymization algorithms") involve several candidates. This
-//! module runs a comparator over all ordered pairs and aggregates the
-//! verdicts into a [`ComparisonMatrix`] with Copeland scores (wins −
-//! losses), the standard way to turn pairwise preferences into a ranking.
-//!
-//! The matrix is built by a batched kernel: the comparator publishes a
-//! [`BatchSpec`] describing which of its work is per-vector (computed once
-//! per candidate) and which is symmetric in a pair (computed once per
-//! unordered pair), and the kernel fills the upper triangle plus its
-//! mirror from that shared work — bit-identical to the naive `M(M−1)`
-//! scalar sweep, at a fraction of the floating-point work.
-//! [`ComparisonMatrix::of_vectors_parallel`] additionally spreads the pair
-//! list over threads.
+//! module runs a comparator over all ordered pairs — one `compare(i, j)`
+//! call per off-diagonal entry — and aggregates the verdicts into a
+//! [`ComparisonMatrix`] with Copeland scores (wins − losses), the standard
+//! way to turn pairwise preferences into a ranking.
 
-use crate::comparators::{
-    additive_epsilon_index, coverage_index, multiplicative_epsilon_index, prefer_higher,
-    prefer_lower, shared_min_product, spread_index, BatchSpec, Comparator, Preference,
-};
-use crate::dominance::dominance_pair;
+use crate::comparators::{Comparator, Preference};
 use crate::preference::SetComparator;
 use crate::vector::{PropertySet, PropertyVector};
 
-/// Maps a pair of weak-dominance checks to the preference
-/// [`DominanceComparator`](crate::comparators::DominanceComparator)
-/// produces — the same four-way match as `dominance::relation`.
-fn dominance_preference(fwd: bool, bwd: bool) -> Preference {
-    match (fwd, bwd) {
-        (true, true) => Preference::Tie,
-        (true, false) => Preference::First,
-        (false, true) => Preference::Second,
-        (false, false) => Preference::Incomparable,
-    }
-}
-
-/// Evaluates one unordered pair `(i, j)` under a batch spec, returning
-/// `(outcome[i][j], outcome[j][i])`.
-///
-/// For every built-in spec the two directions share their index values:
-/// the scalar path would recompute the identical pure-function values for
-/// the mirrored call, so reusing them with swapped arguments reproduces it
-/// bit-for-bit.
-fn pair_outcomes(
-    spec: &BatchSpec,
-    comparator: &dyn Comparator,
-    vectors: &[PropertyVector],
-    i: usize,
-    j: usize,
-) -> (Preference, Preference) {
-    match spec {
-        BatchSpec::Keyed {
-            keys,
-            lower_is_better,
-            epsilon,
-        } => {
-            if *lower_is_better {
-                (
-                    prefer_lower(keys[i], keys[j], *epsilon),
-                    prefer_lower(keys[j], keys[i], *epsilon),
-                )
-            } else {
-                (
-                    prefer_higher(keys[i], keys[j], *epsilon),
-                    prefer_higher(keys[j], keys[i], *epsilon),
-                )
-            }
-        }
-        BatchSpec::Coverage => {
-            let f = coverage_index(&vectors[i], &vectors[j]);
-            let b = coverage_index(&vectors[j], &vectors[i]);
-            (prefer_higher(f, b, 0.0), prefer_higher(b, f, 0.0))
-        }
-        BatchSpec::Spread => {
-            let f = spread_index(&vectors[i], &vectors[j]);
-            let b = spread_index(&vectors[j], &vectors[i]);
-            (prefer_higher(f, b, 0.0), prefer_higher(b, f, 0.0))
-        }
-        BatchSpec::AdditiveEpsilon => {
-            let f = additive_epsilon_index(&vectors[i], &vectors[j]);
-            let b = additive_epsilon_index(&vectors[j], &vectors[i]);
-            (prefer_lower(f, b, 0.0), prefer_lower(b, f, 0.0))
-        }
-        BatchSpec::MultiplicativeEpsilon => {
-            let f = multiplicative_epsilon_index(&vectors[i], &vectors[j]);
-            let b = multiplicative_epsilon_index(&vectors[j], &vectors[i]);
-            (prefer_lower(f, b, 0.0), prefer_lower(b, f, 0.0))
-        }
-        BatchSpec::HypervolumeExact { own } => {
-            let shared = shared_min_product(&vectors[i], &vectors[j]);
-            (
-                prefer_higher(own[i] - shared, own[j] - shared, 0.0),
-                prefer_higher(own[j] - shared, own[i] - shared, 0.0),
-            )
-        }
-        BatchSpec::Dominance => {
-            // One fused pass yields both directions (reads each vector
-            // once); the preference mapping is unchanged.
-            let (fwd, bwd) = dominance_pair(&vectors[i], &vectors[j]);
-            (
-                dominance_preference(fwd, bwd),
-                dominance_preference(bwd, fwd),
-            )
-        }
-        BatchSpec::Pairwise => (
-            comparator.compare(&vectors[i], &vectors[j]),
-            comparator.compare(&vectors[j], &vectors[i]),
-        ),
-    }
-}
-
-/// Fills the upper triangle (and its mirror) of `outcomes` sequentially.
-fn fill_outcomes(
-    outcomes: &mut [Vec<Preference>],
-    spec: &BatchSpec,
-    comparator: &dyn Comparator,
-    vectors: &[PropertyVector],
-) {
-    #[allow(clippy::needless_range_loop)] // `i`/`j` index `outcomes` and `vectors` in lockstep
-    for i in 0..vectors.len() {
-        for j in (i + 1)..vectors.len() {
-            let (f, b) = pair_outcomes(spec, comparator, vectors, i, j);
-            outcomes[i][j] = f;
-            outcomes[j][i] = b;
-        }
-    }
+/// The `m × m` outcome grid whose entry `(i, j)` is `compare(i, j)`, one
+/// call per off-diagonal entry; the diagonal is `Tie`.
+fn fill(m: usize, compare: impl Fn(usize, usize) -> Preference) -> Vec<Vec<Preference>> {
+    (0..m)
+        .map(|i| {
+            (0..m)
+                .map(|j| {
+                    if i == j {
+                        Preference::Tie
+                    } else {
+                        compare(i, j)
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// All pairwise outcomes of one comparator over a candidate list.
@@ -147,13 +49,8 @@ pub struct ComparisonMatrix {
 }
 
 impl ComparisonMatrix {
-    /// Compares every pair of property vectors under `comparator`.
-    ///
-    /// Runs the batched kernel: the comparator's [`BatchSpec`] shares
-    /// per-vector and per-pair work across the matrix, producing outcomes
-    /// bit-identical to calling [`Comparator::compare`] on every ordered
-    /// pair. Use [`ComparisonMatrix::of_vectors_parallel`] to additionally
-    /// spread the pair evaluations over threads.
+    /// Compares every ordered pair of property vectors under
+    /// `comparator`, calling [`Comparator::compare`] once per pair.
     ///
     /// # Panics
     /// Panics if `names` and `vectors` lengths differ, or the comparator
@@ -164,102 +61,21 @@ impl ComparisonMatrix {
         comparator: &dyn Comparator,
     ) -> Self {
         assert_eq!(names.len(), vectors.len(), "one name per candidate");
-        let m = vectors.len();
-        let mut outcomes = vec![vec![Preference::Tie; m]; m];
-        if m >= 2 {
-            let spec = comparator.batch_spec(vectors);
-            fill_outcomes(&mut outcomes, &spec, comparator, vectors);
-        }
         ComparisonMatrix {
             names: names.iter().map(|s| s.to_string()).collect(),
-            outcomes,
+            outcomes: fill(vectors.len(), |i, j| {
+                comparator.compare(&vectors[i], &vectors[j])
+            }),
             comparator: comparator.name(),
         }
     }
 
-    /// Like [`ComparisonMatrix::of_vectors`], with the pair evaluations
-    /// chunked over up to `threads` worker threads. The outcome matrix is
-    /// identical to the sequential kernel's — each pair's verdict depends
-    /// only on that pair, so scheduling cannot change results.
-    ///
-    /// # Panics
-    /// Panics if `names` and `vectors` lengths differ, or the comparator
-    /// itself panics (worker panics are propagated).
-    pub fn of_vectors_parallel(
-        names: &[&str],
-        vectors: &[PropertyVector],
-        comparator: &(dyn Comparator + Sync),
-        threads: usize,
-    ) -> Self {
-        assert_eq!(names.len(), vectors.len(), "one name per candidate");
-        let m = vectors.len();
-        let mut outcomes = vec![vec![Preference::Tie; m]; m];
-        if m >= 2 {
-            let spec = comparator.batch_spec(vectors);
-            let pairs: Vec<(usize, usize)> = (0..m)
-                .flat_map(|i| ((i + 1)..m).map(move |j| (i, j)))
-                .collect();
-            let threads = threads.clamp(1, pairs.len());
-            if threads <= 1 {
-                fill_outcomes(&mut outcomes, &spec, comparator, vectors);
-            } else {
-                let chunk = pairs.len().div_ceil(threads);
-                let spec = &spec;
-                let parts: Vec<Vec<(usize, usize, Preference, Preference)>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = pairs
-                            .chunks(chunk)
-                            .map(|part| {
-                                s.spawn(move || {
-                                    part.iter()
-                                        .map(|&(i, j)| {
-                                            let (f, b) =
-                                                pair_outcomes(spec, comparator, vectors, i, j);
-                                            (i, j, f, b)
-                                        })
-                                        .collect()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("comparator worker panicked"))
-                            .collect()
-                    });
-                for part in parts {
-                    for (i, j, f, b) in part {
-                        outcomes[i][j] = f;
-                        outcomes[j][i] = b;
-                    }
-                }
-            }
-        }
-        ComparisonMatrix {
-            names: names.iter().map(|s| s.to_string()).collect(),
-            outcomes,
-            comparator: comparator.name(),
-        }
-    }
-
-    /// Compares every pair of aligned property sets under a
+    /// Compares every ordered pair of aligned property sets under a
     /// multi-property comparator.
     pub fn of_sets(sets: &[PropertySet], comparator: &dyn SetComparator) -> Self {
-        let outcomes = (0..sets.len())
-            .map(|i| {
-                (0..sets.len())
-                    .map(|j| {
-                        if i == j {
-                            Preference::Tie
-                        } else {
-                            comparator.compare(&sets[i], &sets[j])
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
         ComparisonMatrix {
             names: sets.iter().map(|s| s.anonymization().to_owned()).collect(),
-            outcomes,
+            outcomes: fill(sets.len(), |i, j| comparator.compare(&sets[i], &sets[j])),
             comparator: comparator.name(),
         }
     }
@@ -404,6 +220,8 @@ pub fn kendall_tau(ranking_a: &[usize], ranking_b: &[usize]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::comparators::{CoverageComparator, DominanceComparator};
     use crate::index::BinaryIndex;
@@ -534,131 +352,44 @@ mod tests {
         (names, vectors)
     }
 
-    /// The naive scalar sweep the kernel must reproduce bit-for-bit.
-    fn scalar_outcomes(vectors: &[PropertyVector], cmp: &dyn Comparator) -> Vec<Vec<Preference>> {
-        (0..vectors.len())
-            .map(|i| {
-                (0..vectors.len())
-                    .map(|j| {
-                        if i == j {
-                            Preference::Tie
-                        } else {
-                            cmp.compare(&vectors[i], &vectors[j])
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     #[test]
-    fn batched_kernel_matches_scalar_sweep_for_every_comparator() {
-        use crate::comparators::{
-            EpsilonComparator, EpsilonKind, HvMode, HypervolumeComparator, RankComparator,
-            SpreadComparator,
-        };
-        let (names, vectors) = pool(9, 17);
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let rank = RankComparator::toward_uniform(14.0, 17).with_epsilon(0.25);
-        let ideal = RankComparator::toward_ideal_of(&vectors.iter().collect::<Vec<_>>());
-        let comparators: Vec<Box<dyn Comparator>> = vec![
-            Box::new(CoverageComparator),
-            Box::new(SpreadComparator),
-            Box::new(rank),
-            Box::new(ideal),
-            Box::new(HypervolumeComparator::with_mode(HvMode::Exact)),
-            Box::new(HypervolumeComparator::with_mode(HvMode::Log)),
-            Box::new(HypervolumeComparator::default()),
-            Box::new(EpsilonComparator::default()),
-            Box::new(EpsilonComparator {
-                kind: EpsilonKind::Multiplicative,
-            }),
-            Box::new(DominanceComparator),
-        ];
-        for cmp in &comparators {
-            let expected = scalar_outcomes(&vectors, cmp.as_ref());
-            let m = ComparisonMatrix::of_vectors(&name_refs, &vectors, cmp.as_ref());
-            #[allow(clippy::needless_range_loop)] // `i`/`j` index `expected` and `m` in lockstep
-            for i in 0..vectors.len() {
-                for j in 0..vectors.len() {
-                    assert_eq!(
-                        m.outcome(i, j),
-                        expected[i][j],
-                        "{} disagrees at ({i},{j})",
-                        cmp.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_kernel_matches_sequential() {
-        use crate::comparators::{HypervolumeComparator, RankComparator, SpreadComparator};
-        let (names, vectors) = pool(13, 31);
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let rank = RankComparator::toward_uniform(14.0, 31);
-        let comparators: Vec<&(dyn Comparator + Sync)> = vec![
-            &CoverageComparator,
-            &SpreadComparator,
-            &rank,
-            &HypervolumeComparator {
-                mode: crate::comparators::HvMode::Exact,
-            },
-            &DominanceComparator,
-        ];
-        for cmp in comparators {
-            let seq = ComparisonMatrix::of_vectors(&name_refs, &vectors, cmp);
-            for threads in [1, 2, 5, 64] {
-                let par = ComparisonMatrix::of_vectors_parallel(&name_refs, &vectors, cmp, threads);
-                for i in 0..vectors.len() {
-                    for j in 0..vectors.len() {
-                        assert_eq!(
-                            par.outcome(i, j),
-                            seq.outcome(i, j),
-                            "{} with {threads} threads disagrees at ({i},{j})",
-                            Comparator::name(cmp)
-                        );
-                    }
-                }
-                assert_eq!(par.ranking(), seq.ranking());
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_comparators_fall_back_to_pairwise() {
-        // A deliberately non-antisymmetric comparator: the kernel must not
-        // mirror it, only evaluate both ordered calls.
-        struct AlwaysFirst;
+    fn non_antisymmetric_comparator_is_called_once_per_ordered_pair() {
+        // A deliberately non-antisymmetric comparator: the matrix must not
+        // mirror one direction into the other, only make both calls.
+        struct AlwaysFirst(RefCell<Vec<(String, String)>>);
         impl Comparator for AlwaysFirst {
             fn name(&self) -> String {
                 "always-first".into()
             }
-            fn compare(&self, _: &PropertyVector, _: &PropertyVector) -> Preference {
+            fn compare(&self, d1: &PropertyVector, d2: &PropertyVector) -> Preference {
+                let pair = (d1.name().to_owned(), d2.name().to_owned());
+                self.0.borrow_mut().push(pair);
                 Preference::First
             }
         }
         let (names, vectors) = pool(4, 3);
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let m = ComparisonMatrix::of_vectors(&name_refs, &vectors, &AlwaysFirst);
+        let cmp = AlwaysFirst(RefCell::new(Vec::new()));
+        let m = ComparisonMatrix::of_vectors(&name_refs, &vectors, &cmp);
+        let mut expected = Vec::new();
         for i in 0..4 {
             for j in 0..4 {
                 let want = if i == j {
                     Preference::Tie
                 } else {
+                    expected.push((names[i].clone(), names[j].clone()));
                     Preference::First
                 };
                 assert_eq!(m.outcome(i, j), want);
             }
         }
+        assert_eq!(cmp.0.into_inner(), expected);
     }
 
     #[test]
     fn single_candidate_matrix_is_trivial() {
-        // One candidate means no pairs: the kernel must not touch the
-        // comparator (a nonpositive vector under hv would otherwise panic
-        // during precomputation where the scalar path never evaluated it).
+        // One candidate means no pairs, so the comparator is never called
+        // (hv would panic on this nonpositive vector if it were).
         let v = PropertyVector::new("z", vec![0.0, -1.0]);
         let m = ComparisonMatrix::of_vectors(
             &["z"],

@@ -1,8 +1,6 @@
 //! Property-based equivalence tests for the encoded kernels: on arbitrary
 //! tables and lattice nodes, `Property::extract_encoded` must reproduce
-//! the materialized `Property::extract` bit for bit, and the batched
-//! [`ComparisonMatrix`] kernel must reproduce the scalar
-//! `Comparator::compare` sweep on every comparator.
+//! the materialized `Property::extract` bit for bit.
 
 use std::sync::Arc;
 
@@ -73,70 +71,6 @@ proptest! {
             // Bit-level equality, stricter than `==` (distinguishes ±0.0).
             for (a, b) in from_table.iter().zip(from_codec.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: {} vs {}", p.name(), a, b);
-            }
-        }
-    }
-}
-
-fn arb_pool() -> impl Strategy<Value = Vec<PropertyVector>> {
-    (2usize..7, 1usize..9).prop_flat_map(|(m, n)| {
-        proptest::collection::vec(
-            proptest::collection::vec(0.1f64..10.0, n..=n)
-                .prop_map(|values| PropertyVector::new("p", values)),
-            m..=m,
-        )
-    })
-}
-
-proptest! {
-    #[test]
-    fn matrix_kernel_matches_scalar_sweep(pool in arb_pool()) {
-        let names: Vec<String> = (0..pool.len()).map(|i| i.to_string()).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let refs: Vec<&PropertyVector> = pool.iter().collect();
-        let comparators: Vec<Box<dyn Comparator>> = vec![
-            Box::new(CoverageComparator),
-            Box::new(SpreadComparator),
-            Box::new(RankComparator::toward_ideal_of(&refs)),
-            Box::new(RankComparator::toward_ideal_of(&refs).with_epsilon(0.5)),
-            Box::new(HypervolumeComparator::with_mode(HvMode::Exact)),
-            Box::new(HypervolumeComparator::with_mode(HvMode::Log)),
-            Box::new(EpsilonComparator::default()),
-            Box::new(EpsilonComparator { kind: EpsilonKind::Multiplicative }),
-            Box::new(DominanceComparator),
-        ];
-        for c in &comparators {
-            let matrix = ComparisonMatrix::of_vectors(&name_refs, &pool, c.as_ref());
-            for i in 0..pool.len() {
-                for j in 0..pool.len() {
-                    let expected = if i == j {
-                        Preference::Tie
-                    } else {
-                        c.compare(&pool[i], &pool[j])
-                    };
-                    prop_assert_eq!(
-                        matrix.outcome(i, j),
-                        expected,
-                        "{} diverges at ({}, {})",
-                        c.name(),
-                        i,
-                        j
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matrix_matches_sequential(pool in arb_pool(), threads in 1usize..5) {
-        let names: Vec<String> = (0..pool.len()).map(|i| i.to_string()).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let sequential = ComparisonMatrix::of_vectors(&name_refs, &pool, &CoverageComparator);
-        let parallel =
-            ComparisonMatrix::of_vectors_parallel(&name_refs, &pool, &CoverageComparator, threads);
-        for i in 0..pool.len() {
-            for j in 0..pool.len() {
-                prop_assert_eq!(sequential.outcome(i, j), parallel.outcome(i, j));
             }
         }
     }

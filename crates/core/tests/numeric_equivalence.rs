@@ -1,13 +1,8 @@
-//! Property-based equivalence for the perturbative wing:
-//!
-//! 1. The numeric properties' contiguous-slice fast paths are
-//!    **bit-identical** to their row-at-a-time reference implementations
-//!    over randomly generated bases and releases — the guarantee that
-//!    lets the engine cache and compare vectors across code paths.
-//! 2. A [`ComparisonMatrix`] built over mixed-family vectors (negated
-//!    losses next to class-size-like magnitudes) returns exactly the
-//!    verdict of calling the comparator on each pair directly, both in
-//!    the batched and the parallel kernels.
+//! Property-based equivalence for the perturbative wing: the numeric
+//! properties' contiguous-slice fast paths are **bit-identical** to their
+//! row-at-a-time reference implementations over randomly generated bases
+//! and releases — the guarantee that lets the engine cache and compare
+//! vectors across code paths.
 
 use anoncmp_core::prelude::*;
 use anoncmp_microdata::numeric::{NumericBase, NumericRelease};
@@ -71,45 +66,4 @@ proptest! {
         prop_assert_eq!(bits(&fast), bits(&naive));
     }
 
-    #[test]
-    fn matrix_kernels_match_scalar_compare_on_mixed_vectors(
-        candidates in proptest::collection::vec(
-            proptest::collection::vec(-1.0f64..60.0, 12),
-            2..6,
-        ),
-        negate_mask in proptest::collection::vec(0usize..2, 6),
-    ) {
-        // Mixed families in one slate: some vectors look like negated
-        // bounded losses (all components in [-1, 0]), others like raw
-        // class-size magnitudes — exactly what an E17-style tournament
-        // feeds the matrix.
-        let vectors: Vec<PropertyVector> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, vals)| {
-                let vals: Vec<f64> = if negate_mask[i % negate_mask.len()] == 1 {
-                    vals.iter().map(|v| -(v.abs() / 60.0)).collect()
-                } else {
-                    vals.iter().map(|v| v.abs()).collect()
-                };
-                PropertyVector::new(format!("c{i}"), vals)
-            })
-            .collect();
-        let names: Vec<String> = (0..vectors.len()).map(|i| format!("c{i}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-
-        let comparator = CoverageComparator;
-        let batched = ComparisonMatrix::of_vectors(&name_refs, &vectors, &comparator);
-        let parallel = ComparisonMatrix::of_vectors_parallel(&name_refs, &vectors, &comparator, 4);
-        for i in 0..vectors.len() {
-            for j in 0..vectors.len() {
-                if i == j {
-                    continue;
-                }
-                let scalar = comparator.compare(&vectors[i], &vectors[j]);
-                prop_assert_eq!(batched.outcome(i, j), scalar, "batched ({i},{j})");
-                prop_assert_eq!(parallel.outcome(i, j), scalar, "parallel ({i},{j})");
-            }
-        }
-    }
 }

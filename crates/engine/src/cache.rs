@@ -48,7 +48,8 @@ pub struct CacheStats {
 impl CacheStats {
     /// Difference from an earlier snapshot — the activity of one sweep.
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        // Saturating: a concurrent `clear()` can move counters backwards.
+        // The counters only grow; saturating keeps a misordered pair of
+        // snapshots from panicking.
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),

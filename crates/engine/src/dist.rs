@@ -96,6 +96,11 @@ pub const ENV_HANG_MS: &str = "ANONCMP_DIST_HANG_MS";
 
 /// How often a worker refreshes its heartbeat file.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+/// How often the supervisor polls children and heartbeats.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Worker deaths tolerated across the whole run before the supervisor
+/// gives up.
+const MAX_RESTARTS: u32 = 4;
 
 /// An inclusive job-fingerprint range owned by one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,11 +380,6 @@ pub struct DistConfig {
     /// presumed stalled: it is killed and its shard reassigned. Must be
     /// generously larger than the 25 ms heartbeat interval.
     pub stall_timeout: Duration,
-    /// How often the supervisor polls children and heartbeats.
-    pub poll_interval: Duration,
-    /// Worker deaths tolerated across the whole run before the
-    /// supervisor gives up.
-    pub max_restarts: u32,
     /// Seeded whole-worker-loss injection (tests and CI drills).
     pub chaos: Option<DistChaos>,
     /// Test hook: hang this shard's *first* worker (no heartbeats) so
@@ -396,8 +396,6 @@ impl DistConfig {
             workers: workers.max(1),
             resume: false,
             stall_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(10),
-            max_restarts: 4,
             chaos: None,
             hang_first: None,
         }
@@ -878,7 +876,7 @@ pub fn run_supervisor(
         if running.is_empty() {
             break;
         }
-        thread::sleep(config.poll_interval);
+        thread::sleep(POLL_INTERVAL);
 
         let mut index = 0;
         while index < running.len() {
@@ -940,11 +938,10 @@ pub fn run_supervisor(
                     debug_assert!(!success);
                     shard_restarts[shard] += 1;
                     restarts_total += 1;
-                    if restarts_total > config.max_restarts {
+                    if restarts_total > MAX_RESTARTS {
                         return Err(io::Error::other(format!(
                             "dist: gave up after {restarts_total} worker deaths \
-                             (max_restarts = {})",
-                            config.max_restarts
+                             (at most {MAX_RESTARTS} are tolerated)"
                         )));
                     }
                     eprintln!(

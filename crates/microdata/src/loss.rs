@@ -208,14 +208,17 @@ impl LossMetric {
                     (covered, total)
                 }
                 Domain::Integer { min, max } => {
+                    // In i128: an extreme domain's width and `min − 1`
+                    // overflow i64.
+                    let (min, max) = (i128::from(*min), i128::from(*max));
                     let span = (max - min) as f64;
                     match gv {
                         GenValue::Int(_) => (0.0, span.max(1.0)),
                         GenValue::Interval { lo, hi } => {
                             // Clip the interval to the domain before
                             // measuring its width.
-                            let lo = (*lo).max(min - 1);
-                            let hi = (*hi).min(*max);
+                            let lo = i128::from(*lo).max(min - 1);
+                            let hi = i128::from(*hi).min(max);
                             (((hi - lo).max(0)) as f64, span.max(1.0))
                         }
                         GenValue::Suppressed => (span.max(1.0), span.max(1.0)),
@@ -578,6 +581,31 @@ mod tests {
         assert_eq!(m.cell_loss(&ds, 1, &GenValue::Int(15)), 0.0);
         // Suppressed numeric: 1.
         assert_eq!(m.cell_loss(&ds, 1, &GenValue::Suppressed), 1.0);
+    }
+
+    #[test]
+    fn classic_lm_on_an_extreme_integer_domain() {
+        // Width 2^64 − 1 and `min − 1` both overflow i64.
+        let schema = Schema::new(vec![Attribute::integer(
+            "age",
+            Role::QuasiIdentifier,
+            i64::MIN,
+            i64::MAX,
+        )])
+        .unwrap();
+        let rows = [10, 20, 30, 40].map(|age| vec![Value::Int(age)]);
+        let ds = Dataset::new(schema, rows.to_vec()).unwrap();
+        let m = LossMetric::classic();
+        let raw = AnonymizedTable::identity(ds.clone(), "raw");
+        assert_eq!(m.loss_vector(&raw), vec![0.0; 4]);
+        let l = m.cell_loss(&ds, 0, &GenValue::Interval { lo: 10, hi: 20 });
+        assert_eq!(l, 10.0 / 2f64.powi(64));
+        let full = GenValue::Interval {
+            lo: i64::MIN,
+            hi: i64::MAX,
+        };
+        assert_eq!(m.cell_loss(&ds, 0, &full), 1.0);
+        assert_eq!(m.cell_loss(&ds, 0, &GenValue::Suppressed), 1.0);
     }
 
     #[test]

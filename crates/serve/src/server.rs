@@ -67,15 +67,10 @@ pub struct ServeConfig {
     /// Unused: nothing reads it. Kept so existing struct literals that
     /// name it still compile.
     pub chunk_threads: usize,
-    /// Root seed for the engine (fixed default keeps responses canonical
-    /// across restarts).
-    pub root_seed: u64,
     /// Per-request validation caps.
     pub limits: RequestLimits,
     /// HTTP head/body byte bounds.
     pub http: HttpLimits,
-    /// Idle read timeout on keep-alive connections.
-    pub keepalive_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -89,10 +84,8 @@ impl Default for ServeConfig {
             response_capacity: 256,
             engine_jobs: 0,
             chunk_threads: 0,
-            root_seed: EngineConfig::default().root_seed,
             limits: RequestLimits::default(),
             http: HttpLimits::default(),
-            keepalive_timeout: Duration::from_secs(2),
         }
     }
 }
@@ -114,7 +107,6 @@ struct Inner {
     shutdown: ShutdownFlag,
     limits: RequestLimits,
     http: HttpLimits,
-    keepalive_timeout: Duration,
     started: Instant,
     threads: usize,
     requests_total: AtomicU64,
@@ -239,7 +231,6 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
     };
     let engine = Engine::new(EngineConfig {
         jobs: config.engine_jobs,
-        root_seed: config.root_seed,
         release_capacity: config.release_capacity,
         vector_capacity: config.vector_capacity,
         ..EngineConfig::default()
@@ -252,7 +243,6 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
         shutdown,
         limits: config.limits,
         http: config.http,
-        keepalive_timeout: config.keepalive_timeout,
         started: Instant::now(),
         threads,
         requests_total: AtomicU64::new(0),
@@ -359,11 +349,14 @@ const SHED_LINGER: Duration = Duration::from_millis(50);
 /// The most request bytes a shed reads and discards.
 const SHED_DRAIN_BYTES: usize = 64 * 1024;
 
+/// Idle read timeout on keep-alive connections.
+const KEEPALIVE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Serves one connection to completion, sniffing the protocol from the
 /// first byte: a `{` can never start an HTTP request line, so it selects
 /// the raw JSONL mode.
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(inner.keepalive_timeout));
+    let _ = stream.set_read_timeout(Some(KEEPALIVE_TIMEOUT));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_nodelay(true);
     let mut first = [0u8; 1];

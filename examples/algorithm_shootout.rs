@@ -76,8 +76,8 @@ fn main() {
         print!(" {:>10}", t.name());
     }
     println!();
-    // The tournament tally comes from one batched matrix pass; the cells
-    // still print the directed coverage indices.
+    // The tournament tally comes from the ▶cov matrix; the cells print
+    // the directed coverage indices behind its verdicts.
     let names: Vec<&str> = releases.iter().map(|t| t.name()).collect();
     let matrix = ComparisonMatrix::of_vectors(&names, &vectors, &CoverageComparator);
     for (i, di) in vectors.iter().enumerate() {

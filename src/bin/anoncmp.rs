@@ -232,20 +232,16 @@ fn load_csv(path: &str, qi: &[&str], sensitive: &str) -> Result<Arc<Dataset>, St
     anoncmp::infer::dataset_from_csv_inferred(&text, qi, sensitive)
 }
 
+/// Resolves `--algo` through the engine's algorithm registry. A
+/// perturbative method releases numbers, not a generalized table, so it is
+/// refused like an unknown name; the genetic search keeps its default seed.
 fn parse_algo(name: &str) -> Result<Box<dyn Anonymizer>, String> {
-    Ok(match name {
-        "datafly" => Box::new(Datafly),
-        "samarati" => Box::new(Samarati),
-        "incognito" => Box::new(Incognito),
-        "mondrian" => Box::new(Mondrian),
-        "greedy" => Box::new(GreedyRecoder),
-        "genetic" => Box::new(Genetic::default()),
-        "top-down" => Box::new(TopDown),
-        "subset-incognito" => Box::new(SubsetIncognito),
-        "clustering" => Box::new(GreedyCluster),
-        "optimal" => Box::new(OptimalLattice),
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
+    match anoncmp::engine::prelude::AlgorithmSpec::by_name(name) {
+        Some(spec) if spec.perturb().is_none() => {
+            Ok(spec.instantiate(GeneticConfig::default().seed))
+        }
+        _ => Err(format!("unknown algorithm '{name}'")),
+    }
 }
 
 fn load_from_options(opts: &Options) -> Result<Arc<Dataset>, String> {
@@ -426,8 +422,7 @@ fn compare(opts: &Options) -> Result<(), String> {
         );
     }
     println!("\npairwise ▶cov verdicts on per-tuple privacy:");
-    // One batched matrix pass computes every verdict; the kernel shares
-    // each unordered pair's coverage indices between both directions.
+    // One matrix holds every verdict; each pair is printed once.
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let matrix = ComparisonMatrix::of_vectors(&name_refs, &vectors, &CoverageComparator);
     for i in 0..names.len() {

@@ -1,7 +1,7 @@
 //! The `anoncmp` binary refuses options its subcommand does not read,
 //! before doing any work, so a misspelled or retired option is an error
-//! rather than silently ignored; input it cannot represent is refused the
-//! same way instead of wrapping around.
+//! rather than silently ignored; input it cannot represent, and an
+//! algorithm it cannot anonymize with, are refused the same way.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -139,5 +139,34 @@ fn extreme_integer_column_is_refused_not_wrapped() {
         !String::from_utf8_lossy(&out.stdout).contains("9223372036854775807"),
         "no wrapped-around interval is printed"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn anonymize_refuses_perturbative_and_unknown_algorithms() {
+    let dir = scratch("unknown-algo");
+    let input = toy_csv(&dir);
+    for algo in ["noise:0.05", "magic"] {
+        let out = anoncmp(&[
+            "anonymize",
+            "--input",
+            input.to_str().unwrap(),
+            "--qi",
+            "age,zip",
+            "--sensitive",
+            "diagnosis",
+            "--k",
+            "2",
+            "--algo",
+            algo,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown algorithm '{algo}'")),
+            "the error names the algorithm: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no release is printed");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
