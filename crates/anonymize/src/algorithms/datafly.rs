@@ -43,7 +43,7 @@ impl Datafly {
         let mut levels = lattice.bottom();
         loop {
             let violating = match fd.judge(&levels)? {
-                Verdict::Feasible(done) => return Ok((done, levels)),
+                Verdict::Feasible { .. } => return Ok((fd.release(&levels)?, levels)),
                 Verdict::Infeasible(violating) => violating,
             };
             // Generalize the attribute with the most distinct generalized

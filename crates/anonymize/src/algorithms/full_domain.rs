@@ -5,13 +5,17 @@
 //! lattice their own way; this module alone decides, for a node:
 //!
 //! * **feasibility** — class sizes decide a frequency-only constraint
-//!   (k-anonymity plus a suppression budget), so a node they reject is
-//!   never decoded; any other constraint decodes the node and enforces;
+//!   (k-anonymity plus a suppression budget); any other constraint
+//!   decodes the node and enforces;
+//! * **the score** — the classic loss of the node's *enforced* release.
+//!   Under a frequency-only constraint it is computed from the codec: the
+//!   tuples of every class below k score as suppressed cells
+//!   ([`LossMetric::loss_vector_encoded_masked`]), bit-identical to the
+//!   loss of the decoded and enforced table. Other constraints score the
+//!   enforced table and drop it;
 //! * **the release** — the node decoded through the [`GenCodec`], then
-//!   enforced;
-//! * **the winner among feasible nodes** — the first minimum of the
-//!   classic loss, computed once per candidate; only the winner's table is
-//!   kept.
+//!   enforced: the one table a search builds, for the node it returns;
+//! * **the winner among candidates** — the first minimum of the score.
 //!
 //! The table path ([`Lattice::apply`] plus [`Constraint::enforce`]) stays
 //! the oracle the `encoded_equivalence` tests hold these decisions to.
@@ -32,8 +36,9 @@ pub(crate) type Winner = (LevelVector, AnonymizedTable);
 
 /// The verdict on one lattice node.
 pub(crate) enum Verdict {
-    /// The node's release.
-    Feasible(AnonymizedTable),
+    /// The node's release would score `loss` with `suppressed` tuples
+    /// suppressed.
+    Feasible { loss: f64, suppressed: usize },
     /// The number of tuples that violate the constraint at the node.
     Infeasible(usize),
 }
@@ -96,22 +101,63 @@ impl<'a> FullDomain<'a> {
         Ok(self.enforce(partition.levels())?.is_ok())
     }
 
-    /// The verdict on `levels`. A node rejected by class sizes is never
-    /// decoded.
+    /// The verdict on `levels`. A frequency-only constraint is judged
+    /// from the codec alone; any other decodes the node.
     pub(crate) fn judge(&self, levels: &[usize]) -> Result<Verdict> {
-        if self.constraint.is_frequency_only() {
-            let violating = self
-                .codec
-                .partition(levels)?
-                .tuples_below(self.constraint.k);
-            if violating > self.constraint.max_suppression {
-                return Ok(Verdict::Infeasible(violating));
-            }
+        let k = self.constraint.k;
+        if !self.constraint.is_frequency_only() {
+            return Ok(match self.enforce(levels)? {
+                Ok(release) => Verdict::Feasible {
+                    loss: self.metric.total_loss(&release),
+                    suppressed: release.suppressed_count(),
+                },
+                Err(violating) => Verdict::Infeasible(violating),
+            });
         }
-        Ok(match self.enforce(levels)? {
-            Ok(release) => Verdict::Feasible(release),
-            Err(violating) => Verdict::Infeasible(violating),
-        })
+        // Enforcement suppresses exactly the classes below k, and succeeds
+        // when their tuples fit the budget.
+        let partition = self.codec.partition(levels)?;
+        let suppressed = partition.tuples_below(k);
+        if suppressed > self.constraint.max_suppression {
+            return Ok(Verdict::Infeasible(suppressed));
+        }
+        let mask: Option<Vec<bool>> = if suppressed == 0 {
+            None
+        } else {
+            let sizes = partition.sizes();
+            let below = |&class: &u32| (sizes[class as usize] as usize) < k;
+            let ids = partition.class_ids(&self.codec)?;
+            Some(ids.iter().map(below).collect())
+        };
+        let loss = self
+            .metric
+            .loss_vector_encoded_masked(&self.codec, levels, mask.as_deref())?
+            .iter()
+            .sum();
+        Ok(Verdict::Feasible { loss, suppressed })
+    }
+
+    /// The number of tuples that violate the constraint at `levels` and
+    /// the classic loss of the node, both before any suppression. Only a
+    /// constraint with extra models decodes the node.
+    pub(crate) fn unenforced(&self, levels: &[usize]) -> Result<(usize, f64)> {
+        if self.constraint.is_frequency_only() {
+            let partition = self.codec.partition(levels)?;
+            let loss = self.metric.total_loss_encoded(&self.codec, levels)?;
+            return Ok((partition.tuples_below(self.constraint.k), loss));
+        }
+        let table = self.decode(levels)?;
+        Ok((
+            self.constraint.violating_tuples(&table),
+            self.metric.total_loss(&table),
+        ))
+    }
+
+    /// The release of a node judged feasible: decoded, then enforced.
+    pub(crate) fn release(&self, levels: &[usize]) -> Result<AnonymizedTable> {
+        Ok(self
+            .enforce(levels)?
+            .expect("a node judged feasible enforces within budget"))
     }
 
     /// The node's table, not enforced.
@@ -125,52 +171,28 @@ impl<'a> FullDomain<'a> {
         AnonymizeError::Unsatisfiable(format!("{what} {}", self.constraint.describe()))
     }
 
-    /// The classic loss of a table.
-    pub(crate) fn loss(&self, table: &AnonymizedTable) -> f64 {
-        self.metric.total_loss(table)
-    }
-
-    /// The first loss-minimal release among `candidates`, which class sizes
-    /// already found feasible: each is decoded, enforced (an extra model
-    /// may still reject it) and scored once.
+    /// Judges every candidate, in order, and releases the first one of
+    /// minimal loss: the winner, plus every feasible candidate.
     pub(crate) fn best(
         &self,
         candidates: impl IntoIterator<Item = LevelVector>,
-    ) -> Result<Option<Winner>> {
-        let (winner, _) = self.pick(candidates, |levels| Ok(self.enforce(levels)?.ok()))?;
-        Ok(winner)
-    }
-
-    /// [`FullDomain::best`] over candidates that are judged first, with
-    /// every feasible candidate, in order.
-    pub(crate) fn best_feasible(
-        &self,
-        candidates: impl IntoIterator<Item = LevelVector>,
     ) -> Result<(Option<Winner>, Vec<LevelVector>)> {
-        self.pick(candidates, |levels| match self.judge(levels)? {
-            Verdict::Feasible(release) => Ok(Some(release)),
-            Verdict::Infeasible(_) => Ok(None),
-        })
-    }
-
-    fn pick(
-        &self,
-        candidates: impl IntoIterator<Item = LevelVector>,
-        release: impl Fn(&[usize]) -> Result<Option<AnonymizedTable>>,
-    ) -> Result<(Option<Winner>, Vec<LevelVector>)> {
-        let mut best: Option<(f64, Winner)> = None;
+        let mut best: Option<(f64, usize)> = None;
         let mut feasible = Vec::new();
         for levels in candidates {
-            let Some(table) = release(&levels)? else {
+            let Verdict::Feasible { loss, .. } = self.judge(&levels)? else {
                 continue;
             };
-            let loss = self.loss(&table);
-            if best.as_ref().is_none_or(|(l, _)| loss < *l) {
-                best = Some((loss, (levels.clone(), table)));
+            if best.is_none_or(|(l, _)| loss < l) {
+                best = Some((loss, feasible.len()));
             }
             feasible.push(levels);
         }
-        Ok((best.map(|(_, winner)| winner), feasible))
+        let winner = match best {
+            Some((_, i)) => Some((feasible[i].clone(), self.release(&feasible[i])?)),
+            None => None,
+        };
+        Ok((winner, feasible))
     }
 
     /// Decodes and enforces `levels`: the release, or the number of

@@ -73,20 +73,20 @@ pub struct Genetic {
 struct Evaluated {
     levels: LevelVector,
     fitness: f64,
-    feasible: Option<AnonymizedTable>,
+    feasible: bool,
 }
 
 impl Genetic {
     fn evaluate(fd: &FullDomain<'_>, levels: LevelVector) -> Result<Evaluated> {
         let (fitness, feasible) = match fd.judge(&levels)? {
-            Verdict::Feasible(enforced) => (-fd.loss(&enforced), Some(enforced)),
+            Verdict::Feasible { loss, .. } => (-loss, true),
             Verdict::Infeasible(violating) => {
                 // Infeasible: rank below every feasible individual, better
                 // when fewer tuples violate.
                 let n = fd.codec().rows() as f64;
                 let a = fd.codec().dims() as f64;
                 // Worst feasible fitness is -(loss ≤ a per tuple) ≥ -a·n.
-                (-a * n - violating as f64, None)
+                (-a * n - violating as f64, false)
             }
         };
         Ok(Evaluated {
@@ -169,14 +169,14 @@ impl Genetic {
         }
 
         let best = population.swap_remove(best_idx);
-        match best.feasible {
-            Some(table) => Ok((table, best.levels)),
-            None => Err(AnonymizeError::Unsatisfiable(format!(
+        if !best.feasible {
+            return Err(AnonymizeError::Unsatisfiable(format!(
                 "no feasible individual found for {} (the constraint may be \
                  unsatisfiable even at the lattice top)",
                 constraint.describe()
-            ))),
+            )));
         }
+        Ok((fd.release(&best.levels)?, best.levels))
     }
 
     fn best_index(population: &[Evaluated]) -> usize {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
-use crate::algorithms::full_domain::FullDomain;
+use crate::algorithms::full_domain::{FullDomain, Verdict};
 use crate::algorithms::Anonymizer;
 use crate::constraint::Constraint;
 use crate::error::Result;
@@ -33,33 +33,27 @@ impl GreedyRecoder {
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
         let fd = FullDomain::new(dataset, constraint, "greedy")?;
-        // The ratio scores un-enforced tables, so every step decodes its
-        // candidates and measures them before any suppression.
+        // The ratio scores nodes before any suppression.
         let mut levels = fd.lattice().bottom();
-        let mut current = fd.decode(&levels)?;
-        let mut current_viol = constraint.violating_tuples(&current);
-        let mut current_loss = fd.loss(&current);
+        let (mut current_viol, mut current_loss) = fd.unenforced(&levels)?;
         loop {
-            if let Some(done) = constraint.enforce(&current) {
-                return Ok((done, levels));
+            if let Verdict::Feasible { .. } = fd.judge(&levels)? {
+                return Ok((fd.release(&levels)?, levels));
             }
             // Evaluate every single-step generalization.
-            let mut best: Option<(f64, Vec<usize>, AnonymizedTable, usize, f64)> = None;
+            let mut best: Option<(f64, Vec<usize>, usize, f64)> = None;
             for succ in fd.lattice().successors(&levels) {
-                let table = fd.decode(&succ)?;
-                let viol = constraint.violating_tuples(&table);
-                let loss = fd.loss(&table);
+                let (viol, loss) = fd.unenforced(&succ)?;
                 let reduction = current_viol.saturating_sub(viol) as f64;
                 let cost = (loss - current_loss).max(1e-9);
                 let ratio = reduction / cost;
                 if best.as_ref().is_none_or(|(r, ..)| ratio > *r) {
-                    best = Some((ratio, succ, table, viol, loss));
+                    best = Some((ratio, succ, viol, loss));
                 }
             }
             match best {
-                Some((_, succ, table, viol, loss)) => {
+                Some((_, succ, viol, loss)) => {
                     levels = succ;
-                    current = table;
                     current_viol = viol;
                     current_loss = loss;
                 }

@@ -97,9 +97,9 @@ impl Incognito {
             .filter(|&cand| !frontier.iter().any(|l| l != cand && Lattice::leq(l, cand)))
             .cloned()
             .collect();
-        // Every minimal node is known to satisfy; the evaluator decodes,
-        // enforces and scores each once.
-        let Some((levels, table)) = fd.best(minimal.iter().cloned())? else {
+        // Every minimal node is known to satisfy; the evaluator scores each
+        // and releases the winner.
+        let (Some((levels, table)), _) = fd.best(minimal.iter().cloned())? else {
             return Err(fd.unsatisfiable("no lattice node satisfies"));
         };
         Ok(IncognitoOutcome {

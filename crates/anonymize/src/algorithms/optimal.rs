@@ -33,7 +33,7 @@ impl OptimalLattice {
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, LevelVector, usize)> {
         let fd = FullDomain::new(dataset, constraint, "optimal")?;
-        match fd.best_feasible(fd.lattice().iter_all())? {
+        match fd.best(fd.lattice().iter_all())? {
             (Some((levels, table)), feasible) => Ok((table, levels, feasible.len())),
             (None, _) => Err(fd.unsatisfiable("no lattice node satisfies")),
         }

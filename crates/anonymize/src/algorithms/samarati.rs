@@ -66,7 +66,7 @@ impl Samarati {
             }
         }
         let height = lo;
-        let (winner, k_minimal) = fd.best_feasible(lattice.nodes_at_height(height))?;
+        let (winner, k_minimal) = fd.best(lattice.nodes_at_height(height))?;
         let (levels, table) = winner.expect("the minimal satisfying height has a feasible node");
         Ok(SamaratiOutcome {
             height,

@@ -185,9 +185,9 @@ impl SubsetIncognito {
             });
         // Extra models can knock out every minimal node; fall back to the
         // rest of the satisfying set before giving up.
-        let best = match fd.best(minimal)? {
+        let best = match fd.best(minimal)?.0 {
             Some(winner) => Some(winner),
-            None => fd.best(rest)?,
+            None => fd.best(rest)?.0,
         };
         match best {
             Some((levels, table)) => Ok(SubsetIncognitoOutcome {

@@ -34,40 +34,39 @@ impl TopDown {
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
         let fd = FullDomain::new(dataset, constraint, "top-down")?;
         let mut levels = fd.lattice().top();
-        let Verdict::Feasible(mut current) = fd.judge(&levels)? else {
+        let Verdict::Feasible {
+            loss: mut current_loss,
+            suppressed: mut current_suppressed,
+        } = fd.judge(&levels)?
+        else {
             return Err(fd.unsatisfiable("even the fully generalized release violates"));
         };
-        let mut current_loss = fd.loss(&current);
         loop {
             // Score every feasible single-step specialization by
             // information gain (loss reduction); anonymity loss is implicit
             // in feasibility (infeasible specializations are discarded),
             // with the suppression increase as a tie-breaking denominator —
             // the "score = gain / loss" shape of TDS.
-            let mut best: Option<(f64, Vec<usize>, AnonymizedTable, f64)> = None;
+            let mut best: Option<(f64, Vec<usize>, f64, usize)> = None;
             for pred in fd.lattice().predecessors(&levels) {
-                let Verdict::Feasible(enforced) = fd.judge(&pred)? else {
+                let Verdict::Feasible { loss, suppressed } = fd.judge(&pred)? else {
                     continue;
                 };
-                let loss = fd.loss(&enforced);
                 let gain = (current_loss - loss).max(0.0);
-                let anonymity_cost = (enforced.suppressed_count() as f64
-                    - current.suppressed_count() as f64)
-                    .max(0.0)
-                    + 1.0;
+                let anonymity_cost = (suppressed as f64 - current_suppressed as f64).max(0.0) + 1.0;
                 let score = gain / anonymity_cost;
                 if best.as_ref().is_none_or(|(s, ..)| score > *s) {
-                    best = Some((score, pred, enforced, loss));
+                    best = Some((score, pred, loss, suppressed));
                 }
             }
             match best {
-                Some((_, pred, table, loss)) => {
+                Some((_, pred, loss, suppressed)) => {
                     levels = pred;
-                    current = table;
                     current_loss = loss;
+                    current_suppressed = suppressed;
                 }
                 // No feasible specialization remains: the boundary.
-                None => return Ok((current, levels)),
+                None => return Ok((fd.release(&levels)?, levels)),
             }
         }
     }

@@ -6,11 +6,12 @@
 //! The references below deliberately re-state each search in its naive
 //! form — `Lattice::apply` + `Constraint::enforce` per node, scored with
 //! `LossMetric::classic()` — so any divergence introduced by the shared
-//! node evaluator (class-size feasibility, incremental coarsening,
-//! decode-only-the-winner) shows up as a failed equality, not a subtle
-//! loss delta. Every search runs under every constraint, including one
+//! node evaluator (class-size feasibility, incremental coarsening, the
+//! masked encoded loss, decoding only the release) shows up as a failed
+//! equality, not a subtle loss delta. Every search runs under every constraint, including one
 //! with an extra model, which takes the evaluator's decode-and-enforce
-//! branch. CI runs this as the perf-smoke equivalence gate.
+//! branch, on seed datasets and on random ones. CI runs this as the
+//! perf-smoke equivalence gate.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -20,6 +21,7 @@ use anoncmp_datagen::census::{generate, CensusConfig};
 use anoncmp_datagen::paper::{paper_schema_t3, paper_table1};
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::*;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,6 +43,41 @@ fn ref_satisfying_at_height(
         }
     }
     out
+}
+
+/// Datafly's greedy loop with materialized tables and a HashSet distinct
+/// count per dimension.
+fn ref_datafly(
+    ds: &Arc<Dataset>,
+    constraint: &Constraint,
+) -> Option<(LevelVector, AnonymizedTable)> {
+    use std::collections::HashSet;
+    let lattice = Lattice::new(ds.schema().clone()).unwrap();
+    let qi: Vec<usize> = ds.schema().quasi_identifiers().to_vec();
+    let mut levels = lattice.bottom();
+    loop {
+        let table = lattice.apply(ds, &levels, "datafly").expect("valid node");
+        if let Some(done) = constraint.enforce(&table) {
+            return Some((levels, done));
+        }
+        let mut best: Option<(usize, usize)> = None;
+        for (dim, &col) in qi.iter().enumerate() {
+            if levels[dim] >= lattice.max_levels()[dim] {
+                continue;
+            }
+            let distinct = table
+                .records()
+                .iter()
+                .map(|r| r[col])
+                .collect::<HashSet<_>>()
+                .len();
+            if best.is_none_or(|(_, d)| distinct > d) {
+                best = Some((dim, distinct));
+            }
+        }
+        let (dim, _) = best?;
+        levels[dim] += 1;
+    }
 }
 
 /// Samarati's binary search, evaluating every node through a full table.
@@ -443,37 +480,9 @@ fn optimal_matches_materialized_reference() {
 
 #[test]
 fn datafly_matches_materialized_reference() {
-    // Datafly's greedy path must be unchanged too: replay the loop with
-    // materialized tables and a HashSet distinct count per dimension.
-    use std::collections::HashSet;
     for (label, ds) in datasets() {
         for c in constraints(ds.len()) {
-            let lattice = Lattice::new(ds.schema().clone()).unwrap();
-            let qi: Vec<usize> = ds.schema().quasi_identifiers().to_vec();
-            let mut levels = lattice.bottom();
-            let reference = loop {
-                let table = lattice.apply(&ds, &levels, "datafly").expect("valid node");
-                if let Some(done) = c.enforce(&table) {
-                    break (levels.clone(), done);
-                }
-                let mut best: Option<(usize, usize)> = None;
-                for (dim, &col) in qi.iter().enumerate() {
-                    if levels[dim] >= lattice.max_levels()[dim] {
-                        continue;
-                    }
-                    let distinct = table
-                        .records()
-                        .iter()
-                        .map(|r| r[col])
-                        .collect::<HashSet<_>>()
-                        .len();
-                    if best.is_none_or(|(_, d)| distinct > d) {
-                        best = Some((dim, distinct));
-                    }
-                }
-                let (dim, _) = best.expect("satisfiable on seed data");
-                levels[dim] += 1;
-            };
+            let reference = ref_datafly(&ds, &c).expect("satisfiable on seed data");
             let (table, levels) = Datafly.run(&ds, &c).expect("satisfiable");
             let ctx = format!("datafly/{label}/{}", c.describe());
             assert_eq!(levels, reference.0, "{ctx}: final node differs");
@@ -534,5 +543,123 @@ fn genetic_matches_materialized_reference() {
             assert_eq!(levels, reference.0, "{ctx}: best individual differs");
             assert_identical(&ctx, &table, &reference.1);
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The same references on random datasets and constraints.
+// ----------------------------------------------------------------------
+
+fn random_schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Attribute::integer("age", Role::QuasiIdentifier, 0, 99)
+            .with_hierarchy(IntervalLadder::uniform(0, &[10, 50]).unwrap().into())
+            .unwrap(),
+        Attribute::from_taxonomy(
+            "city",
+            Role::QuasiIdentifier,
+            Taxonomy::masking(&["aa", "ab", "ba", "bb"], &[1]).unwrap(),
+        ),
+        Attribute::categorical("d", Role::Sensitive, ["x", "y", "z"]),
+    ])
+    .unwrap()
+}
+
+/// A random dataset with a constraint: k ∈ 1..=n+1, a budget ∈ 0..=n,
+/// and, in one case of three, distinct 2-diversity on top.
+fn arb_instance() -> impl Strategy<Value = (Arc<Dataset>, Constraint)> {
+    proptest::collection::vec(
+        (0i64..100, 0u32..4, 0u32..3)
+            .prop_map(|(a, c, d)| vec![Value::Int(a), Value::Cat(c), Value::Cat(d)]),
+        1..40,
+    )
+    .prop_flat_map(|rows| {
+        let n = rows.len();
+        let ds = Dataset::new(random_schema(), rows).expect("in-domain rows");
+        (Just(ds), 1..=n + 1, 0..=n, 0u8..3).prop_map(|(ds, k, budget, model)| {
+            let mut c = Constraint::k_anonymity(k).with_suppression(budget);
+            if model == 0 {
+                c = c.with_model(Arc::new(LDiversity::distinct(2)));
+            }
+            (ds, c)
+        })
+    })
+}
+
+/// A search's result against its reference: the same node and the same
+/// release, or both unsatisfiable.
+fn check_search(
+    name: &str,
+    c: &Constraint,
+    outcome: anoncmp_anonymize::error::Result<(LevelVector, AnonymizedTable)>,
+    reference: Option<(LevelVector, AnonymizedTable)>,
+) -> std::result::Result<(), TestCaseError> {
+    let ctx = format!("{name}/{}", c.describe());
+    match (outcome, reference) {
+        (Ok((levels, table)), Some((ref_levels, ref_table))) => {
+            prop_assert_eq!(levels, ref_levels, "{}: node differs", ctx);
+            assert_identical(&ctx, &table, &ref_table);
+        }
+        (Err(AnonymizeError::Unsatisfiable(_)), None) => {}
+        (Ok(_), None) => prop_assert!(false, "{ctx}: the reference finds no node"),
+        (Err(e), _) => prop_assert!(false, "{ctx}: {e}"),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn searches_match_references_on_random_instances((ds, c) in arb_instance()) {
+        let genetic = Genetic { config: genetic_config() };
+        check_search(
+            "datafly",
+            &c,
+            Datafly.run(&ds, &c).map(|(t, l)| (l, t)),
+            ref_datafly(&ds, &c),
+        )?;
+        check_search(
+            "samarati",
+            &c,
+            Samarati.run(&ds, &c).map(|o| (o.levels, o.table)),
+            ref_samarati(&ds, &c),
+        )?;
+        check_search(
+            "incognito",
+            &c,
+            Incognito.run(&ds, &c).map(|o| (o.levels, o.table)),
+            ref_incognito(&ds, &c),
+        )?;
+        check_search(
+            "subset-incognito",
+            &c,
+            SubsetIncognito.run(&ds, &c).map(|o| (o.levels, o.table)),
+            ref_subset_incognito(&ds, &c),
+        )?;
+        check_search(
+            "optimal",
+            &c,
+            OptimalLattice.run(&ds, &c).map(|(t, l, _)| (l, t)),
+            ref_optimal(&ds, &c),
+        )?;
+        check_search(
+            "top-down",
+            &c,
+            TopDown.run(&ds, &c).map(|(t, l)| (l, t)),
+            ref_top_down(&ds, &c),
+        )?;
+        check_search(
+            "greedy",
+            &c,
+            GreedyRecoder.run(&ds, &c).map(|(t, l)| (l, t)),
+            ref_greedy(&ds, &c),
+        )?;
+        check_search(
+            "genetic",
+            &c,
+            genetic.run(&ds, &c).map(|(t, l)| (l, t)),
+            ref_genetic(&ds, &c),
+        )?;
     }
 }

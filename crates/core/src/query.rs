@@ -85,11 +85,12 @@ fn cell_overlap(ds: &Dataset, col: usize, gv: &GenValue, lo: i64, hi: i64) -> f6
             }
         }
         GenValue::Interval { lo: clo, hi: chi } => {
-            let width = (chi - clo) as f64;
+            // In i128: a cell of an extreme domain is wider than i64.
+            let width = (i128::from(*chi) - i128::from(*clo)) as f64;
             if width <= 0.0 {
                 return 0.0;
             }
-            let overlap = ((*chi).min(hi) - (*clo).max(lo)).max(0);
+            let overlap = (i128::from((*chi).min(hi)) - i128::from((*clo).max(lo))).max(0);
             overlap as f64 / width
         }
         GenValue::Node(n) => {
@@ -114,8 +115,11 @@ fn cell_overlap(ds: &Dataset, col: usize, gv: &GenValue, lo: i64, hi: i64) -> f6
             // Full-domain region.
             match attr.domain() {
                 Domain::Integer { min, max } => {
+                    // In i128: an extreme domain's width and `min − 1`
+                    // overflow i64.
+                    let (min, max) = (i128::from(*min), i128::from(*max));
                     let span = (max - min + 1) as f64;
-                    let o = ((*max).min(hi) - (min - 1).max(lo)).max(0);
+                    let o = (max.min(i128::from(hi)) - (min - 1).max(i128::from(lo))).max(0);
                     o as f64 / span
                 }
                 Domain::Categorical { labels } => {
@@ -194,13 +198,16 @@ impl Workload {
             for _ in 0..dims.min(qi.len()) {
                 let col = qi[(rng.next_u64() as usize) % qi.len()];
                 let (dom_lo, dom_hi) = match dataset.schema().attribute(col).domain() {
-                    Domain::Integer { min, max } => (*min, *max),
-                    Domain::Categorical { labels } => (0, labels.len() as i64 - 1),
+                    Domain::Integer { min, max } => (i128::from(*min), i128::from(*max)),
+                    Domain::Categorical { labels } => (0, labels.len() as i128 - 1),
                 };
+                // In i128, clamped back into i64: an extreme domain's
+                // width and `dom_lo − 1` overflow i64.
                 let span = (dom_hi - dom_lo).max(1) as f64;
-                let width = (span * selectivity).max(1.0) as i64;
-                let start = dom_lo - 1 + (rng.next_f64() * (span - width as f64).max(0.0)) as i64;
-                predicates.push((col, start, start + width));
+                let width = (span * selectivity).max(1.0) as i128;
+                let start = dom_lo - 1 + (rng.next_f64() * (span - width as f64).max(0.0)) as i128;
+                let clamp = |v: i128| v.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+                predicates.push((col, clamp(start), clamp(start + width)));
             }
             queries.push(RangeQuery { predicates });
         }
@@ -436,6 +443,65 @@ mod tests {
         let set = induce_property_set(&t, &[&EqClassSize, &qp]);
         assert_eq!(set.r(), 2);
         assert_eq!(set.vector(1).name(), "-query-error");
+    }
+
+    /// Ages 10, 20, 30, 40 over `i64::MIN..=i64::MAX`: the domain's width,
+    /// 2^64 − 1, overflows i64 and rounds to 2^64 in f64.
+    fn extreme_domain() -> Arc<Dataset> {
+        let schema = Schema::new(vec![Attribute::integer(
+            "age",
+            Role::QuasiIdentifier,
+            i64::MIN,
+            i64::MAX,
+        )])
+        .unwrap();
+        let rows = [10, 20, 30, 40].map(|age| vec![Value::Int(age)]);
+        Dataset::new(schema, rows.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn random_workload_on_an_extreme_integer_domain() {
+        let ds = extreme_domain();
+        for selectivity in [0.3, 1.0] {
+            let w = Workload::random(&ds, 20, 1, selectivity, 5);
+            for q in w.queries() {
+                let (_, lo, hi) = q.predicates[0];
+                assert!(lo < hi, "{lo} < {hi}");
+            }
+            let raw = AnonymizedTable::identity(ds.clone(), "raw");
+            assert_eq!(w.mean_relative_error(&raw), 0.0);
+        }
+    }
+
+    #[test]
+    fn interval_cells_on_an_extreme_integer_domain() {
+        let ds = extreme_domain();
+        let full = GenValue::Interval {
+            lo: i64::MIN,
+            hi: i64::MAX,
+        };
+        let t = AnonymizedTable::new(ds.clone(), vec![vec![full]; 4], "full").unwrap();
+        let q = RangeQuery {
+            predicates: vec![(0, 0, 50)],
+        };
+        assert_eq!(q.estimated_count(&t), 4.0 * 50.0 / 2f64.powi(64));
+        let q = RangeQuery {
+            predicates: vec![(0, i64::MIN, i64::MAX)],
+        };
+        assert_eq!(q.estimated_count(&t), 4.0);
+    }
+
+    #[test]
+    fn suppressed_cells_on_an_extreme_integer_domain() {
+        let sup = AnonymizedTable::fully_suppressed(extreme_domain(), "sup");
+        let q = RangeQuery {
+            predicates: vec![(0, 0, 50)],
+        };
+        assert_eq!(q.estimated_count(&sup), 4.0 * 50.0 / 2f64.powi(64));
+        let q = RangeQuery {
+            predicates: vec![(0, i64::MIN, i64::MAX)],
+        };
+        assert_eq!(q.estimated_count(&sup), 4.0);
     }
 
     #[test]

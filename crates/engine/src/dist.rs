@@ -153,7 +153,8 @@ pub fn shard_of(fingerprint: u64, shards: usize) -> usize {
 ///
 /// Algorithms and properties are carried by wire name so the spec stays
 /// a plain-text contract; empty lists mean the defaults (the paper's
-/// standard suite, `["eq-class-size"]`).
+/// standard suite, and each algorithm's
+/// [`AlgorithmSpec::properties_or_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// Dataset every grid point anonymizes.
@@ -164,7 +165,9 @@ pub struct GridSpec {
     pub ks: Vec<usize>,
     /// Suppression budget shared by every grid point.
     pub max_suppression: usize,
-    /// Property tags every grid point extracts (empty = eq-class-size).
+    /// Property tags every grid point extracts (empty = each algorithm's
+    /// [`AlgorithmSpec::properties_or_default`]: `eq-class-size` for
+    /// generalization, `bounded-loss` for perturbation).
     pub properties: Vec<String>,
     /// Engine root seed (per-job seeds derive from it plus content).
     pub root_seed: u64,
@@ -192,16 +195,11 @@ impl GridSpec {
                 })
                 .collect::<Result<_, _>>()?
         };
-        let properties: Vec<PropertySpec> = if self.properties.is_empty() {
-            vec![PropertySpec::EqClassSize]
-        } else {
-            self.properties
-                .iter()
-                .map(|tag| {
-                    PropertySpec::by_tag(tag).ok_or_else(|| format!("unknown property {tag:?}"))
-                })
-                .collect::<Result<_, _>>()?
-        };
+        let properties: Vec<PropertySpec> = self
+            .properties
+            .iter()
+            .map(|tag| PropertySpec::by_tag(tag).ok_or_else(|| format!("unknown property {tag:?}")))
+            .collect::<Result<_, _>>()?;
         let dataset = match self.dataset {
             WireDataset::Census {
                 rows,
@@ -222,7 +220,7 @@ impl GridSpec {
                     algorithm: *algorithm,
                     k,
                     max_suppression: self.max_suppression,
-                    properties: properties.clone(),
+                    properties: algorithm.properties_or_default(&properties),
                 });
             }
         }
@@ -1055,6 +1053,37 @@ mod tests {
             engine_jobs: 1,
         };
         assert!(spec.jobs().is_err());
+    }
+
+    #[test]
+    fn empty_properties_default_per_family() {
+        let spec = GridSpec {
+            dataset: WireDataset::Census {
+                rows: 100,
+                seed: 1,
+                zip_pool: 5,
+            },
+            algorithms: vec!["datafly".into(), "mdav:5".into()],
+            ks: vec![5],
+            max_suppression: 5,
+            properties: vec![],
+            root_seed: 1,
+            shards: 1,
+            engine_jobs: 1,
+        };
+        let jobs = spec.jobs().unwrap();
+        assert_eq!(jobs[0].properties, [PropertySpec::EqClassSize]);
+        assert_eq!(jobs[1].properties, [PropertySpec::BoundedLoss]);
+        // Named properties apply to every job, as before.
+        let named = GridSpec {
+            properties: vec!["bounded-loss".into()],
+            ..spec
+        };
+        assert!(named
+            .jobs()
+            .unwrap()
+            .iter()
+            .all(|job| job.properties == [PropertySpec::BoundedLoss]));
     }
 
     #[test]

@@ -286,6 +286,20 @@ impl AlgorithmSpec {
         }
     }
 
+    /// The properties a job of this algorithm extracts: `requested`, or,
+    /// when its grid names none, the family default — equivalence-class
+    /// sizes for a generalization algorithm, and bounded loss for a
+    /// perturbative method, whose release has no classes.
+    pub fn properties_or_default(&self, requested: &[PropertySpec]) -> Vec<PropertySpec> {
+        if !requested.is_empty() {
+            return requested.to_vec();
+        }
+        match self {
+            AlgorithmSpec::Perturb(_) => vec![PropertySpec::BoundedLoss],
+            _ => vec![PropertySpec::EqClassSize],
+        }
+    }
+
     /// Resolves a display name back to its spec: one of the ten public
     /// generalization algorithms, or a perturbative wire name such as
     /// `noise:0.05` / `rankswap:8` / `mdav:5`. Mock/testing algorithms

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use crate::anonymized::AnonymizedTable;
 use crate::codec::{GenCodec, NodePartition};
 use crate::dataset::Dataset;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::kernels;
 use crate::schema::Domain;
 use crate::value::GenValue;
@@ -322,7 +322,36 @@ impl LossMetric {
     /// # Errors
     /// As [`GenCodec::validate`] for an invalid `levels` vector.
     pub fn loss_vector_encoded(&self, codec: &GenCodec, levels: &[usize]) -> Result<Vec<f64>> {
+        self.loss_vector_encoded_masked(codec, levels, None)
+    }
+
+    /// [`LossMetric::loss_vector_encoded`] of the node with the rows
+    /// flagged in `suppressed` suppressed: each flagged row scores the
+    /// [`GenValue::Suppressed`] cell loss in every encoded column and the
+    /// loss of its raw value in every other. Bit-identical to
+    /// [`LossMetric::loss_vector`] on the decoded node after
+    /// [`AnonymizedTable::suppress_tuples`] of the flagged rows, which
+    /// rewrites exactly the quasi-identifier cells the codec encodes.
+    /// `None` suppresses nothing.
+    ///
+    /// # Errors
+    /// As [`GenCodec::validate`] for an invalid `levels` vector;
+    /// [`Error::InvalidDataset`] when the mask does not have one flag per
+    /// row.
+    pub fn loss_vector_encoded_masked(
+        &self,
+        codec: &GenCodec,
+        levels: &[usize],
+        suppressed: Option<&[bool]>,
+    ) -> Result<Vec<f64>> {
         codec.validate(levels)?;
+        if let Some(mask) = suppressed.filter(|mask| mask.len() != codec.rows()) {
+            return Err(Error::InvalidDataset(format!(
+                "suppression mask covers {} rows but the codec has {}",
+                mask.len(),
+                codec.rows()
+            )));
+        }
         let ds = codec.dataset();
         let cols = self.columns.resolve(ds);
         let dim_of = dims_by_column(codec);
@@ -331,12 +360,27 @@ impl LossMetric {
             match dim_of[c] {
                 Some(dim) => {
                     let level = levels[dim];
-                    let terms: Vec<f64> = codec
+                    let mut terms: Vec<f64> = codec
                         .dict(dim, level)
                         .iter()
                         .map(|gv| self.cell_loss(ds, c, gv))
                         .collect();
-                    scatter_terms(&mut losses, codec.encoded_column(dim, level), &terms);
+                    let codes = codec.encoded_column(dim, level);
+                    match suppressed {
+                        // Flagged rows read one extra term past the
+                        // dictionary: the suppressed cell's loss.
+                        Some(mask) => {
+                            let star = terms.len() as u32;
+                            terms.push(self.cell_loss(ds, c, &GenValue::Suppressed));
+                            let masked: Vec<u32> = codes
+                                .iter()
+                                .zip(mask)
+                                .map(|(&code, &hidden)| if hidden { star } else { code })
+                                .collect();
+                            scatter_terms(&mut losses, &masked, &terms);
+                        }
+                        None => scatter_terms(&mut losses, codes, &terms),
+                    }
                 }
                 None => {
                     // Un-encoded columns decode to raw cells; their loss

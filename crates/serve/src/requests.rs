@@ -169,22 +169,11 @@ fn methods(names: &[String]) -> Result<Vec<AlgorithmSpec>, String> {
     names.iter().map(|n| method_by_name(n)).collect()
 }
 
+/// The properties the request names, applied verbatim to every job (a
+/// classic property on a perturbative release then fails that job
+/// cleanly, as documented). An empty list gives each job its family's
+/// default ([`AlgorithmSpec::properties_or_default`]).
 fn properties(names: &[String]) -> Result<Vec<PropertySpec>, String> {
-    if names.is_empty() {
-        return Ok(vec![PropertySpec::EqClassSize]);
-    }
-    names.iter().map(|n| property_by_name(n)).collect()
-}
-
-/// The properties a perturbative method's jobs extract: the explicit
-/// request list verbatim (a classic property on a perturbative release
-/// then fails that job cleanly, as documented), or bounded loss when the
-/// request left properties empty — the numeric analogue of the
-/// `eq-class-size` default, since class sizes are meaningless for noise.
-fn method_properties(names: &[String]) -> Result<Vec<PropertySpec>, String> {
-    if names.is_empty() {
-        return Ok(vec![PropertySpec::BoundedLoss]);
-    }
     names.iter().map(|n| property_by_name(n)).collect()
 }
 
@@ -214,23 +203,16 @@ pub fn plan_compare(
     let algorithms = algorithms(&req.algorithms).map_err(PlanError::Invalid)?;
     let methods = methods(&req.methods).map_err(PlanError::Invalid)?;
     let properties = properties(&req.properties).map_err(PlanError::Invalid)?;
-    let method_properties = method_properties(&req.properties).map_err(PlanError::Invalid)?;
     let jobs = algorithms
         .into_iter()
+        .chain(methods)
         .map(|algorithm| EvalJob {
             dataset: dataset.clone(),
             algorithm,
             k: req.k,
             max_suppression: req.max_suppression,
-            properties: properties.clone(),
+            properties: algorithm.properties_or_default(&properties),
         })
-        .chain(methods.into_iter().map(|algorithm| EvalJob {
-            dataset: dataset.clone(),
-            algorithm,
-            k: req.k,
-            max_suppression: req.max_suppression,
-            properties: method_properties.clone(),
-        }))
         .collect();
     Ok(ComparePlan {
         jobs,
@@ -276,27 +258,20 @@ pub fn plan_sweep(req: &SweepRequest, limits: &RequestLimits) -> Result<SweepPla
     let algorithms = algorithms(&req.algorithms).map_err(PlanError::Invalid)?;
     let methods = methods(&req.methods).map_err(PlanError::Invalid)?;
     let properties = properties(&req.properties).map_err(PlanError::Invalid)?;
-    let method_properties = method_properties(&req.properties).map_err(PlanError::Invalid)?;
     let batches = req
         .ks
         .iter()
         .map(|&k| {
             let jobs = algorithms
                 .iter()
+                .chain(&methods)
                 .map(|&algorithm| EvalJob {
                     dataset: dataset.clone(),
                     algorithm,
                     k,
                     max_suppression: req.max_suppression,
-                    properties: properties.clone(),
+                    properties: algorithm.properties_or_default(&properties),
                 })
-                .chain(methods.iter().map(|&algorithm| EvalJob {
-                    dataset: dataset.clone(),
-                    algorithm,
-                    k,
-                    max_suppression: req.max_suppression,
-                    properties: method_properties.clone(),
-                }))
                 .collect();
             (k, jobs)
         })

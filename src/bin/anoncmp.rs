@@ -114,7 +114,8 @@ dist options:
   --ks CSV            k values of the sweep (default 2,5,10)
   --algos CSV         algorithm or perturbative-method names, mixed freely
                       (default: the standard suite)
-  --props CSV         property tags (default eq-class-size)
+  --props CSV         property tags (default: eq-class-size for generalization,
+                      bounded-loss for perturbative methods)
   --engine-jobs N     engine threads per worker (default: cores / shards)
   --resume 1          reuse DIR's spec and shard journals (crash recovery)
   --stall-timeout-ms N  heartbeat staleness before a worker is presumed
