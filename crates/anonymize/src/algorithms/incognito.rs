@@ -54,7 +54,13 @@ impl Incognito {
         // instead of re-grouping every row, and the evaluator judges the
         // node from it.
         let mut status: HashMap<LevelVector, bool> = HashMap::new();
-        let mut partitions: HashMap<LevelVector, NodePartition> = HashMap::new();
+        // Partitions of violating nodes one height below the current
+        // node, and at its height. The queue yields nodes in
+        // non-decreasing height and a node coarsens only from a
+        // predecessor one height below, so older partitions are dead.
+        let mut below: HashMap<LevelVector, NodePartition> = HashMap::new();
+        let mut current: HashMap<LevelVector, NodePartition> = HashMap::new();
+        let mut current_height = 0usize;
         let mut frontier: Vec<LevelVector> = Vec::new();
         let mut evaluated = 0usize;
         let mut queue: VecDeque<LevelVector> = VecDeque::new();
@@ -64,18 +70,23 @@ impl Incognito {
             if status.contains_key(&levels) {
                 continue;
             }
+            let height = lattice.height_of(&levels);
+            if height > current_height {
+                below = std::mem::take(&mut current);
+                current_height = height;
+            }
             // Pruning: a node above any known-satisfying node satisfies.
             let dominated = frontier.iter().any(|f| Lattice::leq(f, &levels));
             let sat = if dominated {
                 true
             } else {
                 evaluated += 1;
-                let part = Self::evaluate_incremental(fd.codec(), &partitions, &levels)?;
+                let part = Self::evaluate_incremental(fd.codec(), &below, &levels)?;
                 let ok = fd.feasible(&part)?;
                 if !ok {
                     // Only violating nodes enqueue successors, so only
                     // their partitions are worth keeping.
-                    partitions.insert(levels.clone(), part);
+                    current.insert(levels.clone(), part);
                 }
                 ok
             };
@@ -89,7 +100,7 @@ impl Incognito {
                 }
             }
         }
-        drop(partitions);
+        drop((below, current));
 
         // Keep only minimal frontier nodes (no other frontier node below).
         let minimal: Vec<LevelVector> = frontier

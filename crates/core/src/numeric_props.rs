@@ -82,18 +82,27 @@ impl NeighborhoodRisk {
         }
     }
 
-    /// The fast path: squared linkage distances are accumulated
-    /// column-by-column over the release's contiguous column slices.
+    /// The fast path: one distance row per distinct released row, its
+    /// squared linkage distances accumulated column-by-column over the
+    /// release's contiguous column slices.
+    ///
+    /// Exact because the distance row of record `i` depends on `i` only
+    /// through its released values: every member of a
+    /// [`NumericRelease::row_groups`] group gets the bit-identical row,
+    /// and ranks itself in it under the same tie rule and `k` cap as the
+    /// naive path.
     pub fn extract_numeric(&self, release: &NumericRelease) -> PropertyVector {
         let base = release.base();
         let n = release.len();
         let mut values = vec![0.0; n];
         let mut dist_row = vec![0.0; n];
-        for (i, v) in values.iter_mut().enumerate() {
+        for group in release.row_groups() {
             // d²(yᵢ, xⱼ) for every original j, built column-major so the
             // inner loops stream contiguous slices.
-            linkage_distances_fast(self.metric, release, base, i, &mut dist_row);
-            *v = -risk_from_distances(&dist_row, i, self.k);
+            linkage_distances_fast(self.metric, release, base, group[0], &mut dist_row);
+            for i in group {
+                values[i] = -risk_from_distances(&dist_row, i, self.k);
+            }
         }
         PropertyVector::new(self.name(), values)
     }

@@ -978,17 +978,8 @@ fn extract_property(spec: &crate::job::PropertySpec, release: &Release) -> Prope
 /// distance-based loss (the numeric analogue of classic generalization
 /// loss).
 fn numeric_metrics(release: &NumericRelease) -> ReleaseMetrics {
-    let n = release.len();
-    let mut counts: HashMap<Vec<u64>, usize> = HashMap::new();
-    for i in 0..n {
-        let signature: Vec<u64> = release
-            .columns()
-            .iter()
-            .map(|col| col[i].to_bits())
-            .collect();
-        *counts.entry(signature).or_insert(0) += 1;
-    }
-    let min_class_size = counts.values().copied().min().unwrap_or(0);
+    let groups = release.row_groups();
+    let min_class_size = groups.iter().map(Vec::len).min().unwrap_or(0);
     let total_loss: f64 = BoundedDistanceLoss
         .extract_numeric(release)
         .values()
@@ -996,8 +987,8 @@ fn numeric_metrics(release: &NumericRelease) -> ReleaseMetrics {
         .map(|v| -v)
         .sum();
     ReleaseMetrics {
-        rows: n,
-        classes: counts.len(),
+        rows: release.len(),
+        classes: groups.len(),
         min_class_size,
         suppressed: 0,
         total_loss,
@@ -1517,5 +1508,31 @@ mod tests {
             sweep.resilience_summary(),
             "engine resilience: 0 resumed from journal, 0 retries, 0 quarantined"
         );
+    }
+
+    #[test]
+    fn numeric_classes_are_bit_identical_rows() {
+        let dataset = DatasetSpec::Census {
+            rows: 30,
+            seed: 5,
+            zip_pool: 8,
+        }
+        .materialize();
+        let base = NumericBase::of(&dataset).expect("census has a numeric QI");
+        // Rows cycle through three values; row 0 carries `-0.0`, which
+        // equals `0.0` but is released as a different row.
+        let columns = (0..base.width())
+            .map(|_| {
+                (0..base.len())
+                    .map(|i| if i == 0 { -0.0 } else { (i % 3) as f64 })
+                    .collect()
+            })
+            .collect();
+        let release = NumericRelease::new("cycle", base, columns);
+        let metrics = numeric_metrics(&release);
+        assert_eq!(metrics.rows, 30);
+        assert_eq!(metrics.classes, 4);
+        assert_eq!(metrics.min_class_size, 1);
+        assert_eq!(metrics.suppressed, 0);
     }
 }

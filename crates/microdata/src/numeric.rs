@@ -328,6 +328,22 @@ impl NumericRelease {
     pub fn row(&self, i: usize) -> Vec<f64> {
         self.columns.iter().map(|col| col[i]).collect()
     }
+
+    /// The rows grouped by released value: each group lists, in
+    /// ascending order, the rows whose released values are equal bit for
+    /// bit (`f64::to_bits` per column, so `-0.0` and `0.0` differ and
+    /// identical NaNs group together). Groups come in ascending order of
+    /// their bit patterns. A measurement that reads a row only through
+    /// its released values gives every member of a group the same input.
+    pub fn row_groups(&self) -> Vec<Vec<usize>> {
+        let bits = |i: usize| self.columns.iter().map(move |col| col[i].to_bits());
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by(|&a, &b| bits(a).cmp(bits(b)));
+        order
+            .chunk_by(|&a, &b| bits(a).eq(bits(b)))
+            .map(<[usize]>::to_vec)
+            .collect()
+    }
 }
 
 /// One release of either family. The engine caches, digests, and measures
@@ -620,6 +636,30 @@ mod tests {
         assert_eq!(view.column(0)[0], base.means()[0]);
         assert_eq!(view.column(1)[0], base.means()[1]);
         assert_eq!(view.column(0)[1], 35.0);
+    }
+
+    #[test]
+    fn row_groups_key_on_bit_patterns() {
+        let ds = two_column_dataset();
+        let base = NumericBase::of(&ds).unwrap();
+        let rel = NumericRelease::new(
+            "groups",
+            base,
+            vec![
+                vec![0.0, -0.0, 0.0, f64::NAN, f64::NAN],
+                vec![1.0, 1.0, 1.0, 2.0, 2.0],
+            ],
+        );
+        // `-0.0 == 0.0`, yet the rows differ bit for bit; identical NaNs
+        // group together.
+        assert_eq!(rel.row_groups(), vec![vec![0, 2], vec![3, 4], vec![1]]);
+        // The second column alone splits rows the first column groups.
+        let rel = NumericRelease::new(
+            "split",
+            rel.base().clone(),
+            vec![vec![5.0; 5], vec![1.0, 2.0, 1.0, 2.0, 3.0]],
+        );
+        assert_eq!(rel.row_groups(), vec![vec![0, 2], vec![1, 3], vec![4]]);
     }
 
     #[test]
