@@ -12,7 +12,7 @@ use std::sync::Arc;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
 use crate::algorithms::full_domain::{FullDomain, Verdict};
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -38,7 +38,16 @@ impl Datafly {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
-        let fd = FullDomain::new(dataset, constraint, "datafly")?;
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<(AnonymizedTable, Vec<usize>)> {
+        let fd = FullDomain::new(ctx, constraint, "datafly")?;
         let (lattice, codec) = (fd.lattice(), fd.codec());
         let mut levels = lattice.bottom();
         loop {
@@ -84,6 +93,14 @@ impl Anonymizer for Datafly {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|(t, _)| t)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|(t, _)| t)
     }
 }
 

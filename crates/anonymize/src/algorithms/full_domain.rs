@@ -17,17 +17,16 @@
 //!   enforced: the one table a search builds, for the node it returns;
 //! * **the winner among candidates** — the first minimum of the score.
 //!
-//! The table path ([`Lattice::apply`] plus [`Constraint::enforce`]) stays
-//! the oracle the `encoded_equivalence` tests hold these decisions to.
-
-use std::sync::Arc;
+//! Class sizes come from the [`LatticeIndex`] of the search's
+//! [`DatasetContext`], so searches that share a context group each node
+//! once between them. The table path ([`Lattice::apply`] plus
+//! [`Constraint::enforce`]) stays the oracle the `encoded_equivalence`
+//! tests hold these decisions to.
 
 use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{
-    AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector, NodePartition,
-};
+use anoncmp_microdata::prelude::{AnonymizedTable, GenCodec, Lattice, LatticeIndex, LevelVector};
 
-use crate::algorithms::validate_common;
+use crate::algorithms::{validate_common, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::{AnonymizeError, Result};
 
@@ -43,62 +42,69 @@ pub(crate) enum Verdict {
     Infeasible(usize),
 }
 
-/// One search's lattice, codec, constraint and release name.
+/// One search's lattice index, constraint and release name.
 pub(crate) struct FullDomain<'a> {
-    lattice: Lattice,
-    codec: GenCodec,
+    index: &'a LatticeIndex,
     constraint: &'a Constraint,
     name: &'static str,
     metric: LossMetric,
 }
 
 impl<'a> FullDomain<'a> {
-    /// Checks the inputs, then builds the lattice and codec of `dataset`.
+    /// Checks the inputs, then takes the lattice index of `ctx`.
     pub(crate) fn new(
-        dataset: &Arc<Dataset>,
+        ctx: &'a DatasetContext,
         constraint: &'a Constraint,
         name: &'static str,
     ) -> Result<Self> {
-        Self::with_config(dataset, constraint, name, None)
+        Self::with_config(ctx, constraint, name, None)
     }
 
     /// [`FullDomain::new`] for a search that checks its own configuration:
     /// a `problem` with it is reported after the input checks and before
     /// any lattice error.
     pub(crate) fn with_config(
-        dataset: &Arc<Dataset>,
+        ctx: &'a DatasetContext,
         constraint: &'a Constraint,
         name: &'static str,
         problem: Option<&str>,
     ) -> Result<Self> {
-        validate_common(dataset, constraint)?;
+        validate_common(ctx.dataset(), constraint)?;
         if let Some(problem) = problem {
             return Err(AnonymizeError::InvalidConfig(problem.into()));
         }
         Ok(FullDomain {
-            lattice: Lattice::new(dataset.schema().clone())?,
-            codec: GenCodec::new(dataset)?,
+            index: ctx.index()?,
             constraint,
             name,
             metric: LossMetric::classic(),
         })
     }
 
+    pub(crate) fn index(&self) -> &LatticeIndex {
+        self.index
+    }
+
     pub(crate) fn lattice(&self) -> &Lattice {
-        &self.lattice
+        self.index.lattice()
     }
 
     pub(crate) fn codec(&self) -> &GenCodec {
-        &self.codec
+        self.index.codec()
     }
 
-    /// Whether the node of `partition` is feasible; only a constraint with
-    /// extra models decodes it.
-    pub(crate) fn feasible(&self, partition: &NodePartition) -> Result<bool> {
+    /// The number of tuples in classes below k at `levels`.
+    fn tuples_below(&self, levels: &[usize]) -> Result<usize> {
+        Ok(self.index.summary(levels)?.tuples_below(self.constraint.k))
+    }
+
+    /// Whether `levels` is feasible; only a constraint with extra models
+    /// decodes the node.
+    pub(crate) fn feasible(&self, levels: &[usize]) -> Result<bool> {
         if self.constraint.is_frequency_only() {
-            return Ok(self.constraint.feasible_partition(partition));
+            return Ok(self.tuples_below(levels)? <= self.constraint.max_suppression);
         }
-        Ok(self.enforce(partition.levels())?.is_ok())
+        Ok(self.enforce(levels)?.is_ok())
     }
 
     /// The verdict on `levels`. A frequency-only constraint is judged
@@ -116,22 +122,24 @@ impl<'a> FullDomain<'a> {
         }
         // Enforcement suppresses exactly the classes below k, and succeeds
         // when their tuples fit the budget.
-        let partition = self.codec.partition(levels)?;
-        let suppressed = partition.tuples_below(k);
+        let summary = self.index.summary(levels)?;
+        let suppressed = summary.tuples_below(k);
         if suppressed > self.constraint.max_suppression {
             return Ok(Verdict::Infeasible(suppressed));
         }
         let mask: Option<Vec<bool>> = if suppressed == 0 {
             None
         } else {
-            let sizes = partition.sizes();
-            let below = |&class: &u32| (sizes[class as usize] as usize) < k;
-            let ids = partition.class_ids(&self.codec)?;
-            Some(ids.iter().map(below).collect())
+            let ids = self.codec().view(levels)?.class_ids();
+            let mut sizes = vec![0usize; summary.class_count()];
+            for &class in &ids {
+                sizes[class as usize] += 1;
+            }
+            Some(ids.iter().map(|&class| sizes[class as usize] < k).collect())
         };
         let loss = self
             .metric
-            .loss_vector_encoded_masked(&self.codec, levels, mask.as_deref())?
+            .loss_vector_encoded_masked(self.codec(), levels, mask.as_deref())?
             .iter()
             .sum();
         Ok(Verdict::Feasible { loss, suppressed })
@@ -142,9 +150,9 @@ impl<'a> FullDomain<'a> {
     /// constraint with extra models decodes the node.
     pub(crate) fn unenforced(&self, levels: &[usize]) -> Result<(usize, f64)> {
         if self.constraint.is_frequency_only() {
-            let partition = self.codec.partition(levels)?;
-            let loss = self.metric.total_loss_encoded(&self.codec, levels)?;
-            return Ok((partition.tuples_below(self.constraint.k), loss));
+            let violating = self.tuples_below(levels)?;
+            let loss = self.metric.total_loss_encoded(self.codec(), levels)?;
+            return Ok((violating, loss));
         }
         let table = self.decode(levels)?;
         Ok((
@@ -162,7 +170,7 @@ impl<'a> FullDomain<'a> {
 
     /// The node's table, not enforced.
     pub(crate) fn decode(&self, levels: &[usize]) -> Result<AnonymizedTable> {
-        Ok(self.codec.decode(levels, self.name)?)
+        Ok(self.codec().decode(levels, self.name)?)
     }
 
     /// The error of a search that found no feasible node: `what`, then

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Lattice, LevelVector};
 
 use crate::algorithms::full_domain::{FullDomain, Verdict};
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::{AnonymizeError, Result};
 
@@ -133,9 +133,18 @@ impl Genetic {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, LevelVector)> {
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<(AnonymizedTable, LevelVector)> {
         let problem = (self.config.population < 2 || self.config.tournament == 0)
             .then_some("population must be ≥ 2 and tournament ≥ 1");
-        let fd = FullDomain::with_config(dataset, constraint, "genetic", problem)?;
+        let fd = FullDomain::with_config(ctx, constraint, "genetic", problem)?;
         let lattice = fd.lattice();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
@@ -218,6 +227,14 @@ impl Anonymizer for Genetic {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|(t, _)| t)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|(t, _)| t)
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
 use crate::algorithms::full_domain::{FullDomain, Verdict};
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -32,7 +32,16 @@ impl GreedyRecoder {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
-        let fd = FullDomain::new(dataset, constraint, "greedy")?;
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<(AnonymizedTable, Vec<usize>)> {
+        let fd = FullDomain::new(ctx, constraint, "greedy")?;
         // The ratio scores nodes before any suppression.
         let mut levels = fd.lattice().bottom();
         let (mut current_viol, mut current_loss) = fd.unenforced(&levels)?;
@@ -74,6 +83,14 @@ impl Anonymizer for GreedyRecoder {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|(t, _)| t)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|(t, _)| t)
     }
 }
 

@@ -14,12 +14,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use anoncmp_microdata::prelude::{
-    AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector, NodePartition,
-};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Lattice, LevelVector};
 
 use crate::algorithms::full_domain::FullDomain;
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -43,24 +41,18 @@ pub struct IncognitoOutcome {
 impl Incognito {
     /// Runs the sweep, exposing the minimal frontier and evaluation count.
     pub fn run(&self, dataset: &Arc<Dataset>, constraint: &Constraint) -> Result<IncognitoOutcome> {
-        let fd = FullDomain::new(dataset, constraint, "incognito")?;
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(&self, ctx: &DatasetContext, constraint: &Constraint) -> Result<IncognitoOutcome> {
+        let fd = FullDomain::new(ctx, constraint, "incognito")?;
         let lattice = fd.lattice();
 
         // BFS from the bottom. `status` records, per visited node, whether
         // it satisfies; ancestors of satisfying nodes are marked satisfied
-        // without evaluation (anti-monotone pruning). Each evaluated node's
-        // partition is derived incrementally by re-keying the class
-        // representatives of a stored predecessor (`GenCodec::coarsen`)
-        // instead of re-grouping every row, and the evaluator judges the
-        // node from it.
+        // without evaluation (anti-monotone pruning).
         let mut status: HashMap<LevelVector, bool> = HashMap::new();
-        // Partitions of violating nodes one height below the current
-        // node, and at its height. The queue yields nodes in
-        // non-decreasing height and a node coarsens only from a
-        // predecessor one height below, so older partitions are dead.
-        let mut below: HashMap<LevelVector, NodePartition> = HashMap::new();
-        let mut current: HashMap<LevelVector, NodePartition> = HashMap::new();
-        let mut current_height = 0usize;
         let mut frontier: Vec<LevelVector> = Vec::new();
         let mut evaluated = 0usize;
         let mut queue: VecDeque<LevelVector> = VecDeque::new();
@@ -70,25 +62,13 @@ impl Incognito {
             if status.contains_key(&levels) {
                 continue;
             }
-            let height = lattice.height_of(&levels);
-            if height > current_height {
-                below = std::mem::take(&mut current);
-                current_height = height;
-            }
             // Pruning: a node above any known-satisfying node satisfies.
             let dominated = frontier.iter().any(|f| Lattice::leq(f, &levels));
             let sat = if dominated {
                 true
             } else {
                 evaluated += 1;
-                let part = Self::evaluate_incremental(fd.codec(), &below, &levels)?;
-                let ok = fd.feasible(&part)?;
-                if !ok {
-                    // Only violating nodes enqueue successors, so only
-                    // their partitions are worth keeping.
-                    current.insert(levels.clone(), part);
-                }
-                ok
+                fd.feasible(&levels)?
             };
             if sat && !dominated {
                 frontier.push(levels.clone());
@@ -100,7 +80,6 @@ impl Incognito {
                 }
             }
         }
-        drop((below, current));
 
         // Keep only minimal frontier nodes (no other frontier node below).
         let minimal: Vec<LevelVector> = frontier
@@ -120,34 +99,6 @@ impl Incognito {
             levels,
         })
     }
-
-    /// Evaluates a node's partition, preferring to coarsen the smallest
-    /// stored predecessor partition (valid only when the stepped dimension
-    /// satisfies the class-merge invariant); falls back to grouping from
-    /// scratch.
-    fn evaluate_incremental(
-        codec: &GenCodec,
-        partitions: &HashMap<LevelVector, NodePartition>,
-        levels: &[usize],
-    ) -> Result<NodePartition> {
-        let mut best: Option<&NodePartition> = None;
-        for (dim, &level) in levels.iter().enumerate() {
-            if level == 0 || !codec.is_monotone(dim) {
-                continue;
-            }
-            let mut pred = levels.to_vec();
-            pred[dim] -= 1;
-            if let Some(p) = partitions.get(&pred) {
-                if best.is_none_or(|b| p.class_count() < b.class_count()) {
-                    best = Some(p);
-                }
-            }
-        }
-        match best {
-            Some(parent) => Ok(codec.coarsen(parent, levels)?),
-            None => Ok(codec.partition(levels)?),
-        }
-    }
 }
 
 impl Anonymizer for Incognito {
@@ -161,6 +112,14 @@ impl Anonymizer for Incognito {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|o| o.table)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|o| o.table)
     }
 }
 

@@ -33,9 +33,9 @@ pub mod samarati;
 pub mod subset_incognito;
 pub mod tds;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, LatticeIndex};
 
 use crate::constraint::Constraint;
 use crate::error::Result;
@@ -54,6 +54,51 @@ pub trait Anonymizer {
     /// for bad parameters.
     fn anonymize(&self, dataset: &Arc<Dataset>, constraint: &Constraint)
         -> Result<AnonymizedTable>;
+
+    /// [`Anonymizer::anonymize`] on the dataset of `ctx`. The full-domain
+    /// searches read the lattice index that `ctx` shares among every
+    /// search given it; the default ignores the index.
+    ///
+    /// # Errors
+    /// As [`Anonymizer::anonymize`].
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.anonymize(ctx.dataset(), constraint)
+    }
+}
+
+/// One dataset plus the [`LatticeIndex`] that the full-domain searches
+/// run in it share, built when the first of them asks. Searches given one
+/// context group each lattice node once between them; dropping the
+/// context frees the index.
+#[derive(Debug)]
+pub struct DatasetContext {
+    dataset: Arc<Dataset>,
+    index: OnceLock<anoncmp_microdata::Result<LatticeIndex>>,
+}
+
+impl DatasetContext {
+    /// A context for `dataset`, with no index built yet.
+    pub fn new(dataset: Arc<Dataset>) -> Self {
+        DatasetContext {
+            dataset,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The dataset.
+    pub fn dataset(&self) -> &Arc<Dataset> {
+        &self.dataset
+    }
+
+    /// The lattice index, built on the first call.
+    pub(crate) fn index(&self) -> Result<&LatticeIndex> {
+        let built = self.index.get_or_init(|| LatticeIndex::new(&self.dataset));
+        Ok(built.as_ref().map_err(Clone::clone)?)
+    }
 }
 
 pub(crate) fn validate_common(dataset: &Dataset, constraint: &Constraint) -> Result<()> {

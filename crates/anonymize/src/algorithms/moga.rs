@@ -23,6 +23,7 @@ use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, LevelVector, NodePartition};
 
 use crate::algorithms::full_domain::FullDomain;
+use crate::algorithms::DatasetContext;
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -254,7 +255,8 @@ impl MultiObjectiveGenetic {
         } else {
             (self.config.population < 4).then_some("population must be ≥ 4")
         };
-        let fd = FullDomain::with_config(dataset, &unconstrained, "moga", problem)?;
+        let ctx = DatasetContext::new(dataset.clone());
+        let fd = FullDomain::with_config(&ctx, &unconstrained, "moga", problem)?;
         let (lattice, codec) = (fd.lattice(), fd.codec());
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, LevelVector};
 
 use crate::algorithms::full_domain::FullDomain;
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -32,7 +32,16 @@ impl OptimalLattice {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, LevelVector, usize)> {
-        let fd = FullDomain::new(dataset, constraint, "optimal")?;
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<(AnonymizedTable, LevelVector, usize)> {
+        let fd = FullDomain::new(ctx, constraint, "optimal")?;
         match fd.best(fd.lattice().iter_all())? {
             (Some((levels, table)), feasible) => Ok((table, levels, feasible.len())),
             (None, _) => Err(fd.unsatisfiable("no lattice node satisfies")),
@@ -51,6 +60,14 @@ impl Anonymizer for OptimalLattice {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|(t, ..)| t)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|(t, ..)| t)
     }
 }
 

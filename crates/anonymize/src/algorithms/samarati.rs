@@ -14,7 +14,7 @@ use std::sync::Arc;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, LevelVector};
 
 use crate::algorithms::full_domain::FullDomain;
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -39,11 +39,16 @@ pub struct SamaratiOutcome {
 impl Samarati {
     /// Runs the full search, exposing the k-minimal frontier.
     pub fn run(&self, dataset: &Arc<Dataset>, constraint: &Constraint) -> Result<SamaratiOutcome> {
-        let fd = FullDomain::new(dataset, constraint, "samarati")?;
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(&self, ctx: &DatasetContext, constraint: &Constraint) -> Result<SamaratiOutcome> {
+        let fd = FullDomain::new(ctx, constraint, "samarati")?;
         let lattice = fd.lattice();
         let any_feasible_at = |height: usize| -> Result<bool> {
             for levels in lattice.nodes_at_height(height) {
-                if fd.feasible(&fd.codec().partition(&levels)?)? {
+                if fd.feasible(&levels)? {
                     return Ok(true);
                 }
             }
@@ -88,6 +93,14 @@ impl Anonymizer for Samarati {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|o| o.table)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|o| o.table)
     }
 }
 

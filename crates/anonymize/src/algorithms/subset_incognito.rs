@@ -27,10 +27,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector};
+use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, Lattice, LatticeIndex, LevelVector};
 
 use crate::algorithms::full_domain::FullDomain;
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -56,23 +56,21 @@ pub struct SubsetIncognitoOutcome {
 /// Checks whether the projection onto `dims` (QI dimension indices) at
 /// `levels` (aligned with `dims`) is k-anonymous within the suppression
 /// budget: the number of tuples in classes smaller than `k` must not
-/// exceed `budget`. Evaluated entirely on the codec's encoded columns —
-/// no `GenValue` signatures are built.
+/// exceed `budget`. The projection groups rows as the full node does with
+/// `levels` on `dims` and every other dimension at its top level, where
+/// each hierarchy has a single value, so the index answers it.
 fn projection_satisfies(
-    codec: &GenCodec,
+    index: &LatticeIndex,
     dims: &[usize],
     levels: &[usize],
     k: usize,
     budget: usize,
 ) -> Result<bool> {
-    let view = codec.view_subset(dims, levels)?;
-    let (sizes, _) = view.sizes_and_reps();
-    let violating: usize = sizes
-        .iter()
-        .filter(|&&size| (size as usize) < k)
-        .map(|&size| size as usize)
-        .sum();
-    Ok(violating <= budget)
+    let mut node = index.lattice().top();
+    for (&dim, &level) in dims.iter().zip(levels) {
+        node[dim] = level;
+    }
+    Ok(index.summary(&node)?.tuples_below(k) <= budget)
 }
 
 impl SubsetIncognito {
@@ -82,8 +80,17 @@ impl SubsetIncognito {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<SubsetIncognitoOutcome> {
-        let fd = FullDomain::new(dataset, constraint, "subset-incognito")?;
-        let (lattice, codec) = (fd.lattice(), fd.codec());
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<SubsetIncognitoOutcome> {
+        let fd = FullDomain::new(ctx, constraint, "subset-incognito")?;
+        let lattice = fd.lattice();
         let m = lattice.dimensions();
         let max_levels = lattice.max_levels().to_vec();
         let budget = constraint.max_suppression;
@@ -161,7 +168,7 @@ impl SubsetIncognito {
                         true
                     } else {
                         evaluated += 1;
-                        projection_satisfies(codec, &dims, &cand, k, budget)?
+                        projection_satisfies(fd.index(), &dims, &cand, k, budget)?
                     };
                     if ok {
                         satisfying.push(cand);
@@ -231,6 +238,14 @@ impl Anonymizer for SubsetIncognito {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|o| o.table)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|o| o.table)
     }
 }
 
@@ -313,8 +328,8 @@ mod tests {
     #[test]
     fn projection_check_is_consistent_with_full_grouping() {
         let ds = small_census();
-        let lattice = Lattice::new(ds.schema().clone()).unwrap();
-        let codec = GenCodec::new(&ds).unwrap();
+        let index = LatticeIndex::new(&ds).unwrap();
+        let lattice = index.lattice();
         let dims: Vec<usize> = (0..lattice.dimensions()).collect();
         for levels in [
             vec![0, 0, 0, 0, 0, 0],
@@ -323,7 +338,7 @@ mod tests {
         ] {
             let table = lattice.apply(&ds, &levels, "x").unwrap();
             let full_ok = Constraint::k_anonymity(3).violating_tuples(&table) <= 6;
-            let proj_ok = projection_satisfies(&codec, &dims, &levels, 3, 6).unwrap();
+            let proj_ok = projection_satisfies(&index, &dims, &levels, 3, 6).unwrap();
             assert_eq!(
                 proj_ok, full_ok,
                 "projection check must agree with full grouping at {levels:?}"
@@ -335,7 +350,7 @@ mod tests {
     fn projection_check_on_true_subsets_matches_reference_grouping() {
         use std::collections::HashMap;
         let ds = small_census();
-        let codec = GenCodec::new(&ds).unwrap();
+        let index = LatticeIndex::new(&ds).unwrap();
         let qi = ds.schema().quasi_identifiers().to_vec();
         // Project onto dims {0, 2} at mixed levels and compare against a
         // straightforward signature count.
@@ -361,7 +376,7 @@ mod tests {
             }
             let violating: usize = groups.values().filter(|&&s| s < k).sum();
             assert_eq!(
-                projection_satisfies(&codec, &dims, &levels, k, budget).unwrap(),
+                projection_satisfies(&index, &dims, &levels, k, budget).unwrap(),
                 violating <= budget,
                 "k={k} budget={budget}"
             );

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use anoncmp_microdata::prelude::{AnonymizedTable, Dataset};
 
 use crate::algorithms::full_domain::{FullDomain, Verdict};
-use crate::algorithms::Anonymizer;
+use crate::algorithms::{Anonymizer, DatasetContext};
 use crate::constraint::Constraint;
 use crate::error::Result;
 
@@ -32,7 +32,16 @@ impl TopDown {
         dataset: &Arc<Dataset>,
         constraint: &Constraint,
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
-        let fd = FullDomain::new(dataset, constraint, "top-down")?;
+        self.run_in(&DatasetContext::new(dataset.clone()), constraint)
+    }
+
+    /// [`Self::run`] on the lattice index of `ctx`.
+    fn run_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<(AnonymizedTable, Vec<usize>)> {
+        let fd = FullDomain::new(ctx, constraint, "top-down")?;
         let mut levels = fd.lattice().top();
         let Verdict::Feasible {
             loss: mut current_loss,
@@ -83,6 +92,14 @@ impl Anonymizer for TopDown {
         constraint: &Constraint,
     ) -> Result<AnonymizedTable> {
         self.run(dataset, constraint).map(|(t, _)| t)
+    }
+
+    fn anonymize_in(
+        &self,
+        ctx: &DatasetContext,
+        constraint: &Constraint,
+    ) -> Result<AnonymizedTable> {
+        self.run_in(ctx, constraint).map(|(t, _)| t)
     }
 }
 

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::algorithms::samarati::{Samarati, SamaratiOutcome};
     pub use crate::algorithms::subset_incognito::{SubsetIncognito, SubsetIncognitoOutcome};
     pub use crate::algorithms::tds::TopDown;
-    pub use crate::algorithms::Anonymizer;
+    pub use crate::algorithms::{Anonymizer, DatasetContext};
     pub use crate::constraint::Constraint;
     pub use crate::error::{AnonymizeError, Result};
     pub use crate::models::{

@@ -380,6 +380,25 @@ fn std_dist2_to_point(base: &NumericBase, a: usize, point: &[f64]) -> f64 {
         .sum()
 }
 
+/// `rows` with their squared standardized distance to row `from`,
+/// nearest first, ties to the lower row index. Each distance is computed
+/// once, not once per comparison.
+fn by_distance(
+    base: &NumericBase,
+    from: usize,
+    rows: impl Iterator<Item = u32>,
+) -> Vec<(f64, u32)> {
+    let mut by_dist: Vec<(f64, u32)> = rows
+        .map(|r| (std_dist2(base, from, r as usize), r))
+        .collect();
+    by_dist.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("distances contain no NaN")
+            .then(a.1.cmp(&b.1))
+    });
+    by_dist
+}
+
 /// The MDAV (Maximum Distance to Average Vector) grouping: group sizes
 /// are in `[k, 2k−1]` whenever `n ≥ k`, matching the fixed-size
 /// microaggregation contract. Returned groups list row indices
@@ -421,18 +440,12 @@ pub fn mdav_groups(base: &NumericBase, k: usize) -> Vec<Vec<u32>> {
     // neighbors as one group.
     let take_group = |remaining: &mut Vec<u32>, slot: usize, k: usize| -> Vec<u32> {
         let anchor = remaining.swap_remove(slot);
-        let mut by_dist: Vec<u32> = std::mem::take(remaining);
-        by_dist.sort_by(|&a, &b| {
-            std_dist2(base, anchor as usize, a as usize)
-                .partial_cmp(&std_dist2(base, anchor as usize, b as usize))
-                .expect("distances contain no NaN")
-                .then(a.cmp(&b))
-        });
+        let by_dist = by_distance(base, anchor as usize, remaining.drain(..));
         let take = (k - 1).min(by_dist.len());
-        let mut group: Vec<u32> = by_dist.drain(..take).collect();
+        let mut group: Vec<u32> = by_dist[..take].iter().map(|&(_, r)| r).collect();
         group.push(anchor);
         group.sort_unstable();
-        *remaining = by_dist;
+        remaining.extend(by_dist[take..].iter().map(|&(_, r)| r));
         group
     };
 
@@ -498,18 +511,12 @@ fn rwn_columns(base: &NumericBase, k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> 
     }
     for i in 0..n {
         // The k nearest other records, ties broken by row index.
-        let mut others: Vec<u32> = (0..n as u32).filter(|&j| j as usize != i).collect();
-        others.sort_by(|&a, &b| {
-            std_dist2(base, i, a as usize)
-                .partial_cmp(&std_dist2(base, i, b as usize))
-                .expect("distances contain no NaN")
-                .then(a.cmp(&b))
-        });
+        let mut others = by_distance(base, i, (0..n as u32).filter(|&j| j as usize != i));
         others.truncate(k);
         // Slot k means "keep the record itself".
         let pick = rng.gen_range(0..=others.len());
         if pick < others.len() {
-            let donor = others[pick] as usize;
+            let donor = others[pick].1 as usize;
             for (col, base_col) in columns.iter_mut().zip(base.columns()) {
                 col[i] = base_col[donor];
             }
@@ -522,6 +529,7 @@ fn rwn_columns(base: &NumericBase, k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> 
 mod tests {
     use super::*;
     use anoncmp_datagen::census::{generate, CensusConfig};
+    use anoncmp_microdata::prelude::{Attribute, Dataset, Role, Schema, Value};
 
     fn census_base(rows: usize) -> Arc<NumericBase> {
         let ds = generate(&CensusConfig {
@@ -656,6 +664,136 @@ mod tests {
                 let mean = col.iter().sum::<f64>() / col.len() as f64;
                 assert!((mean - base.means()[j]).abs() < 1e-9, "k={k} col={j}");
             }
+        }
+    }
+
+    /// MDAV grouping as it sorted before distances were precomputed: the
+    /// comparator recomputes both distances on every comparison. The
+    /// oracle for `by_distance`.
+    fn oracle_mdav_groups(base: &NumericBase, k: usize) -> Vec<Vec<u32>> {
+        let k = k.max(1);
+        let mut remaining: Vec<u32> = (0..base.len() as u32).collect();
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        let centroid = |rows: &[u32]| -> Vec<f64> {
+            let mut c = vec![0.0; base.width()];
+            for &r in rows {
+                for (j, col) in base.columns().iter().enumerate() {
+                    c[j] += col[r as usize] / base.stds()[j];
+                }
+            }
+            c.iter().map(|v| v / rows.len().max(1) as f64).collect()
+        };
+        let farthest = |remaining: &[u32], dist: &dyn Fn(u32) -> f64| -> usize {
+            let (mut best, mut best_d) = (0, f64::NEG_INFINITY);
+            for (slot, &r) in remaining.iter().enumerate() {
+                let d = dist(r);
+                if d > best_d {
+                    (best, best_d) = (slot, d);
+                }
+            }
+            best
+        };
+        let take_group = |remaining: &mut Vec<u32>, slot: usize| -> Vec<u32> {
+            let anchor = remaining.swap_remove(slot) as usize;
+            let mut by_dist: Vec<u32> = std::mem::take(remaining);
+            by_dist.sort_by(|&a, &b| {
+                std_dist2(base, anchor, a as usize)
+                    .partial_cmp(&std_dist2(base, anchor, b as usize))
+                    .expect("distances contain no NaN")
+                    .then(a.cmp(&b))
+            });
+            let mut group: Vec<u32> = by_dist.drain(..(k - 1).min(by_dist.len())).collect();
+            group.push(anchor as u32);
+            group.sort_unstable();
+            *remaining = by_dist;
+            group
+        };
+        while remaining.len() >= 3 * k {
+            let c = centroid(&remaining);
+            let r_slot = farthest(&remaining, &|r| std_dist2_to_point(base, r as usize, &c));
+            let r_row = remaining[r_slot] as usize;
+            groups.push(take_group(&mut remaining, r_slot));
+            let s_slot = farthest(&remaining, &|s| std_dist2(base, r_row, s as usize));
+            groups.push(take_group(&mut remaining, s_slot));
+        }
+        if remaining.len() >= 2 * k {
+            let c = centroid(&remaining);
+            let r_slot = farthest(&remaining, &|r| std_dist2_to_point(base, r as usize, &c));
+            groups.push(take_group(&mut remaining, r_slot));
+        }
+        if !remaining.is_empty() {
+            remaining.sort_unstable();
+            groups.push(remaining);
+        }
+        groups
+    }
+
+    /// RWN with the comparator sort, as [`oracle_mdav_groups`].
+    fn oracle_rwn_columns(base: &NumericBase, k: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = base.len();
+        let k = k.max(1).min(n.saturating_sub(1).max(1));
+        let mut columns: Vec<Vec<f64>> = base.columns().to_vec();
+        if n < 2 {
+            return columns;
+        }
+        for i in 0..n {
+            let mut others: Vec<u32> = (0..n as u32).filter(|&j| j as usize != i).collect();
+            others.sort_by(|&a, &b| {
+                std_dist2(base, i, a as usize)
+                    .partial_cmp(&std_dist2(base, i, b as usize))
+                    .expect("distances contain no NaN")
+                    .then(a.cmp(&b))
+            });
+            others.truncate(k);
+            let pick = rng.gen_range(0..=others.len());
+            if pick < others.len() {
+                for (col, base_col) in columns.iter_mut().zip(base.columns()) {
+                    col[i] = base_col[others[pick] as usize];
+                }
+            }
+        }
+        columns
+    }
+
+    /// A base of `width` integer columns whose cells come from a
+    /// four-value palette, so rows repeat and distances tie.
+    fn palette_base(width: usize, cells: &[u8]) -> Arc<NumericBase> {
+        let schema = Schema::new(
+            (0..width)
+                .map(|c| Attribute::integer(format!("c{c}"), Role::QuasiIdentifier, 0, 3))
+                .collect(),
+        )
+        .unwrap();
+        let rows = cells
+            .chunks_exact(width)
+            .map(|row| row.iter().map(|&v| Value::Int(i64::from(v))).collect())
+            .collect();
+        NumericBase::of(&Dataset::new(schema, rows).unwrap()).unwrap()
+    }
+
+    fn bits(columns: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        let bits = |col: &Vec<f64>| col.iter().map(|v| v.to_bits()).collect();
+        columns.iter().map(bits).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mdav_and_rwn_match_the_comparator_sort(
+            width in 1usize..=3,
+            cells in proptest::collection::vec(0u8..4, 3..90),
+            k_pick in 0usize..7,
+            seed in 0u64..1 << 48,
+        ) {
+            let base = palette_base(width, &cells[..cells.len() / width * width]);
+            let n = base.len();
+            let k = [1, 2, 3, 5, n.saturating_sub(1).max(1), n, n + 1][k_pick];
+            let groups = oracle_mdav_groups(&base, k);
+            proptest::prop_assert_eq!(&mdav_groups(&base, k), &groups);
+            let mdav = PerturbSpec::mdav(k as u32).apply(&base, seed);
+            proptest::prop_assert_eq!(bits(mdav.columns()), bits(&centroid_columns(&base, &groups)));
+            let rwn = PerturbSpec::rwn(k as u32).apply(&base, seed);
+            proptest::prop_assert_eq!(bits(rwn.columns()), bits(&oracle_rwn_columns(&base, k, seed)));
         }
     }
 

@@ -6,7 +6,7 @@
 //! The references below deliberately re-state each search in its naive
 //! form — `Lattice::apply` + `Constraint::enforce` per node, scored with
 //! `LossMetric::classic()` — so any divergence introduced by the shared
-//! node evaluator (class-size feasibility, incremental coarsening, the
+//! node evaluator (class-size feasibility, the shared lattice index, the
 //! masked encoded loss, decoding only the release) shows up as a failed
 //! equality, not a subtle loss delta. Every search runs under every constraint, including one
 //! with an extra model, which takes the evaluator's decode-and-enforce

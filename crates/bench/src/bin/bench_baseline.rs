@@ -1,7 +1,8 @@
 //! Emits `BENCH_baseline.json`: machine-readable wall-clock baselines for
 //! the `algorithms`, `grouping`, `loss_cache`, `hv_log_vs_exact`,
-//! `lattice_encoded`, `property_extraction` and `perturbative` bench
-//! groups, with per-entry peak RSS and the host's core count.
+//! `lattice_encoded`, `lattice_sharing`, `property_extraction` and
+//! `perturbative` bench groups, with per-entry peak RSS and the host's
+//! core count.
 //!
 //! This is the workspace's one kernel-level bench harness: it records a
 //! single JSON snapshot that CI and the README perf note can diff against.
@@ -66,9 +67,9 @@ struct Baseline {
     /// Speedup of encoded per-node evaluation over `Lattice::apply` at the
     /// largest measured size, 50k rows (min-over-min ratio).
     encoded_speedup_50k: f64,
-    /// Speedup of incremental coarsening over `Lattice::apply` at the
-    /// largest measured size.
-    coarsen_speedup_50k: f64,
+    /// Speedup of one sweep's full-domain searches on one shared lattice
+    /// index over the same searches with a private index each.
+    lattice_sharing_speedup: f64,
     /// Speedup of encoded property extraction over the materialize-then-
     /// extract path at the largest measured size.
     extraction_speedup_50k: f64,
@@ -221,12 +222,6 @@ fn lattice_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
         let lattice = Lattice::new(ds.schema().clone()).expect("census lattice");
         let codec = GenCodec::new(&ds).expect("census hierarchies are complete");
         codec.partition(&NODE).expect("valid node"); // warm the encodings
-        let parent_levels: Vec<usize> = {
-            let mut l = NODE.to_vec();
-            l[0] -= 1;
-            l
-        };
-        let parent = codec.partition(&parent_levels).expect("valid parent");
 
         let iters = 10;
         out.push(entry(
@@ -243,11 +238,57 @@ fn lattice_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
             let p = codec.partition(&NODE).expect("valid node");
             std::hint::black_box(p.min_class_size());
         }));
-        out.push(entry("lattice_encoded", "coarsen", rows, iters, || {
-            let p = codec.coarsen(&parent, &NODE).expect("nested step");
-            std::hint::black_box(p.min_class_size());
-        }));
     }
+}
+
+/// The full-domain jobs of one perfbench sweep_mixed operation, run once
+/// on one shared [`DatasetContext`] and once with a private context per
+/// job (what `Anonymizer::anonymize` builds). Both sides run on one
+/// thread, and both must release the same tables.
+fn lattice_sharing_benches(out: &mut Vec<BenchEntry>) {
+    let rows = 5_000;
+    let ds = generate(&CensusConfig {
+        rows,
+        seed: 0x5EED_5000,
+        zip_pool: 25,
+    });
+    let searches: [&dyn Anonymizer; 5] =
+        [&Datafly, &Samarati, &Incognito, &SubsetIncognito, &TopDown];
+    let jobs: Vec<(&dyn Anonymizer, Constraint)> = [5, 25]
+        .into_iter()
+        .flat_map(|k| {
+            searches
+                .iter()
+                .map(move |&search| (search, Constraint::k_anonymity(k).with_suppression(250)))
+        })
+        .collect();
+    let shared = || {
+        let ctx = DatasetContext::new(ds.clone());
+        let run = |(search, c): &(&dyn Anonymizer, Constraint)| search.anonymize_in(&ctx, c);
+        jobs.iter()
+            .map(run)
+            .map(|t| t.expect("satisfiable"))
+            .collect::<Vec<_>>()
+    };
+    let private = || {
+        let run = |(search, c): &(&dyn Anonymizer, Constraint)| search.anonymize(&ds, c);
+        jobs.iter()
+            .map(run)
+            .map(|t| t.expect("satisfiable"))
+            .collect::<Vec<_>>()
+    };
+    let same = shared()
+        .iter()
+        .zip(&private())
+        .all(|(a, b)| a.records() == b.records() && a.suppression_mask() == b.suppression_mask());
+    assert!(same, "a shared lattice index changed a release");
+    let iters = 5;
+    out.push(entry("lattice_sharing", "shared", rows, iters, || {
+        std::hint::black_box(shared());
+    }));
+    out.push(entry("lattice_sharing", "private", rows, iters, || {
+        std::hint::black_box(private());
+    }));
 }
 
 fn extraction_properties() -> Vec<Box<dyn Property>> {
@@ -332,6 +373,7 @@ fn main() {
     hv_benches(&mut benches);
     algorithm_benches(&mut benches);
     lattice_benches(&mut benches, &ROW_GROUPS);
+    lattice_sharing_benches(&mut benches);
     property_extraction_benches(&mut benches, &ROW_GROUPS);
     let perturbative = perturbative_benches(&mut benches);
 
@@ -348,9 +390,9 @@ fn main() {
             materialized,
             min_of(&benches, "lattice_encoded", "encoded", rows),
         ),
-        coarsen_speedup_50k: ratio(
-            materialized,
-            min_of(&benches, "lattice_encoded", "coarsen", rows),
+        lattice_sharing_speedup: ratio(
+            min_of(&benches, "lattice_sharing", "private", 5_000),
+            min_of(&benches, "lattice_sharing", "shared", 5_000),
         ),
         extraction_speedup_50k: ratio(
             min_of(&benches, "property_extraction", "materialized", rows),
@@ -370,8 +412,8 @@ fn main() {
         benches,
     };
     eprintln!(
-        "encoded speedup at {rows} rows: {:.1}x, coarsen: {:.1}x",
-        baseline.encoded_speedup_50k, baseline.coarsen_speedup_50k
+        "encoded speedup at {rows} rows: {:.1}x, lattice sharing: {:.2}x",
+        baseline.encoded_speedup_50k, baseline.lattice_sharing_speedup
     );
     eprintln!(
         "property extraction speedup: {:.1}x",

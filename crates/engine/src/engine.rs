@@ -49,7 +49,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
-use anoncmp_anonymize::prelude::{AnonymizeError, Result as AnonymizeResult};
+use anoncmp_anonymize::prelude::{AnonymizeError, DatasetContext, Result as AnonymizeResult};
 use anoncmp_core::prelude::{BoundedDistanceLoss, PropertyVector};
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::numeric::{NumericBase, NumericRelease, Release};
@@ -466,6 +466,13 @@ impl Engine {
     }
 
     /// Runs a sweep, returning outcomes in submission order.
+    ///
+    /// The sweep builds one [`DatasetContext`] per distinct dataset it
+    /// runs, so its full-domain searches share one lattice index per
+    /// dataset, and drops them when it returns: no index outlives its
+    /// sweep. The one exception is a job abandoned by the wall-clock
+    /// budget, whose watchdog thread keeps its context until the job
+    /// finishes.
     pub fn run(&self, jobs: &[EvalJob]) -> SweepResult {
         self.run_sweep(jobs, None).expect("no sink, no io")
     }
@@ -491,7 +498,7 @@ impl Engine {
         let seed = derive_seed(self.root_seed, release_fp);
         // `u32::MAX` is past every chaos `faults_per_job`, so injection is
         // structurally off for rematerialization.
-        match self.compute_release(job, seed, u32::MAX) {
+        match self.compute_release(job, seed, u32::MAX, &self.context_for(job)) {
             (JobStatus::Ok, Some(release)) => {
                 Some(self.cache.insert_release(release_fp, Arc::new(release)))
             }
@@ -541,22 +548,23 @@ impl Engine {
             }
         }
 
-        // Materialize each distinct dataset that will actually run, up
-        // front. Workers would otherwise race through
+        // One context per distinct dataset that will actually run, built
+        // up front. Workers would otherwise race through
         // `dataset_or_insert_with` (which builds outside the lock) and
-        // synthesize the same dataset N times.
-        let pending: Vec<usize> = (0..unique.len()).filter(|&s| slots[s].is_none()).collect();
-        let mut seen_datasets: HashMap<u64, ()> = HashMap::new();
-        for &slot in &pending {
-            let i = unique[slot];
-            let mut ds_fp = Fingerprinter::new();
-            jobs[i].dataset.fingerprint_into(&mut ds_fp);
-            let fp = ds_fp.finish();
-            if seen_datasets.insert(fp, ()).is_none() {
-                self.cache
-                    .dataset_or_insert_with(fp, || jobs[i].dataset.materialize());
-            }
-        }
+        // synthesize the same dataset N times. Every job of the sweep on
+        // that dataset shares the context's lattice index, which drops
+        // when the sweep returns.
+        let mut contexts: HashMap<u64, Arc<DatasetContext>> = HashMap::new();
+        let pending: Vec<(usize, Arc<DatasetContext>)> = (0..unique.len())
+            .filter(|&slot| slots[slot].is_none())
+            .map(|slot| {
+                let job = &jobs[unique[slot]];
+                let ctx = contexts
+                    .entry(dataset_fingerprint(job))
+                    .or_insert_with(|| self.context_for(job));
+                (slot, Arc::clone(ctx))
+            })
+            .collect();
 
         // Workers claim pending slots from a shared counter, so an idle
         // worker always takes the next pending job. Each keeps its
@@ -564,11 +572,11 @@ impl Engine {
         let next = AtomicUsize::new(0);
         let drain = || {
             let mut done = Vec::new();
-            while let Some(&slot) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let job = &jobs[unique[slot]];
-                let outcome = self.execute(job);
+            while let Some((slot, ctx)) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let job = &jobs[unique[*slot]];
+                let outcome = self.execute(job, ctx);
                 self.checkpoint(job, &outcome.record);
-                done.push((slot, outcome));
+                done.push((*slot, outcome));
             }
             done
         };
@@ -637,6 +645,15 @@ impl Engine {
                 .load(Ordering::Relaxed)
                 .saturating_sub(quarantined_before),
         })
+    }
+
+    /// A new context for the job's dataset, materialized through the
+    /// dataset map.
+    fn context_for(&self, job: &EvalJob) -> Arc<DatasetContext> {
+        let dataset = self
+            .cache
+            .dataset_or_insert_with(dataset_fingerprint(job), || job.dataset.materialize());
+        Arc::new(DatasetContext::new(dataset))
     }
 
     /// Checkpoints a completed job into the journal, if one is attached.
@@ -716,13 +733,13 @@ impl Engine {
     /// Executes one job on the calling worker thread, retrying transient
     /// failures under the engine's [`RetryPolicy`] and quarantining jobs
     /// that exhaust it.
-    fn execute(&self, job: &EvalJob) -> JobOutcome {
+    fn execute(&self, job: &EvalJob, ctx: &Arc<DatasetContext>) -> JobOutcome {
         let policy = *lock(&self.retry);
         let release_fp = job.release_fingerprint();
         let mut attempts: Vec<AttemptFailure> = Vec::new();
         let mut attempt = 0u32;
         loop {
-            let outcome = self.execute_attempt(job, attempt);
+            let outcome = self.execute_attempt(job, attempt, ctx);
             let transient = matches!(
                 outcome.record.status,
                 JobStatus::Panicked { .. } | JobStatus::BudgetExceeded { .. }
@@ -747,7 +764,12 @@ impl Engine {
     }
 
     /// One attempt of one job.
-    fn execute_attempt(&self, job: &EvalJob, attempt: u32) -> JobOutcome {
+    fn execute_attempt(
+        &self,
+        job: &EvalJob,
+        attempt: u32,
+        ctx: &Arc<DatasetContext>,
+    ) -> JobOutcome {
         let started = Instant::now();
         let release_fp = job.release_fingerprint();
         let seed = derive_seed(self.root_seed, release_fp);
@@ -755,7 +777,7 @@ impl Engine {
         let (status, release, cache_hit) = match self.cache.get_release(release_fp) {
             Some(release) => (JobStatus::Ok, Some(release), true),
             None => {
-                let (status, release) = self.compute_release(job, seed, attempt);
+                let (status, release) = self.compute_release(job, seed, attempt, ctx);
                 let release = release.map(|r| self.cache.insert_release(release_fp, Arc::new(r)));
                 (status, release, false)
             }
@@ -882,12 +904,9 @@ impl Engine {
         job: &EvalJob,
         seed: u64,
         attempt: u32,
+        ctx: &Arc<DatasetContext>,
     ) -> (JobStatus, Option<Release>) {
-        let mut ds_fp = Fingerprinter::new();
-        job.dataset.fingerprint_into(&mut ds_fp);
-        let dataset = self
-            .cache
-            .dataset_or_insert_with(ds_fp.finish(), || job.dataset.materialize());
+        let ctx = Arc::clone(ctx);
         let constraint = job.constraint();
         let algorithm = job.algorithm;
         let chaos_fault = lock(&self.chaos)
@@ -905,7 +924,7 @@ impl Engine {
                 // Perturbative wing: a pure function of (numeric base,
                 // spec, seed) — same chaos/budget/containment envelope as
                 // the generalization algorithms.
-                Some(spec) => match NumericBase::of(&dataset) {
+                Some(spec) => match NumericBase::of(ctx.dataset()) {
                     Some(base) => Ok(Release::Numeric(spec.apply(&base, seed))),
                     None => Err(AnonymizeError::InvalidConfig(format!(
                         "{}: dataset has no numeric quasi-identifier columns",
@@ -914,7 +933,7 @@ impl Engine {
                 },
                 None => algorithm
                     .instantiate(seed)
-                    .anonymize(&dataset, &constraint)
+                    .anonymize_in(&ctx, &constraint)
                     .map(Release::Generalized),
             }
         };
@@ -924,7 +943,8 @@ impl Engine {
             Some(budget) => {
                 // Run on a watchdog thread so the wait can time out. On
                 // timeout the thread is abandoned (detached and leaked) —
-                // its eventual result is discarded along with the channel.
+                // its eventual result is discarded along with the channel,
+                // and its context lives until it finishes.
                 let (tx, rx) = mpsc::channel::<Result<AnonymizeResult<Release>, String>>();
                 std::thread::spawn(move || {
                     let _ = tx.send(contained(AssertUnwindSafe(run)));
@@ -954,6 +974,14 @@ impl Engine {
             Err(message) => (JobStatus::Panicked { message }, None),
         }
     }
+}
+
+/// The fingerprint of a job's dataset: the key of the engine's dataset
+/// map.
+fn dataset_fingerprint(job: &EvalJob) -> u64 {
+    let mut fp = Fingerprinter::new();
+    job.dataset.fingerprint_into(&mut fp);
+    fp.finish()
 }
 
 /// Extracts one property from either release family: the numeric fast
@@ -1131,6 +1159,28 @@ mod tests {
             assert!(outcome.record.status.is_ok(), "{:?}", outcome.record.status);
             assert_eq!(outcome.vectors.len(), 1);
         }
+    }
+
+    #[test]
+    fn no_lattice_index_outlives_its_sweep() {
+        let engine = Engine::new(EngineConfig {
+            jobs: 2,
+            ..EngineConfig::default()
+        });
+        let mut jobs = quick_jobs();
+        for job in &mut jobs {
+            if job.algorithm == AlgorithmSpec::Mondrian {
+                job.algorithm = AlgorithmSpec::Incognito;
+            }
+        }
+        // A leaked index would hold the dataset through its codec.
+        let dataset = Arc::clone(engine.context_for(&jobs[0]).dataset());
+        let before = Arc::strong_count(&dataset);
+        let sweep = engine.run(&jobs);
+        assert!(sweep.outcomes.iter().all(|o| o.record.status.is_ok()));
+        drop(sweep);
+        engine.clear_releases();
+        assert_eq!(Arc::strong_count(&dataset), before);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod value;
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::anonymized::{AnonymizedTable, EquivalenceClasses};
-    pub use crate::codec::{EncodedView, GenCodec, NodePartition};
+    pub use crate::codec::{EncodedView, GenCodec, LatticeIndex, NodePartition, NodeSummary};
     pub use crate::dataset::{Dataset, DatasetBuilder, DistinctValues};
     pub use crate::error::{Error, Result};
     pub use crate::hierarchy::Hierarchy;
