@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! experiments                    # run everything (E01–E16)
+//! experiments                    # run everything (E01–E17)
 //! experiments e04 e09 e13        # run selected experiments
 //! experiments --list             # list the experiment index
 //! experiments --quick            # run everything, E13 in its quick config
@@ -23,10 +23,11 @@
 //! uninterrupted run. Jobs that exhaust `--max-retries` are quarantined
 //! into `PATH.failed.jsonl` with their cause and attempt history.
 
-use std::time::Duration;
+use std::fs::File;
+use std::io::BufWriter;
 
 use anoncmp_bench::experiments::{registry, study};
-use anoncmp_engine::{ChaosConfig, Engine};
+use anoncmp_engine::{Engine, EngineConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,7 +45,9 @@ fn main() {
     // --max-retries N, --chaos-seed N.
     let mut positional: Vec<&str> = Vec::new();
     let mut quick = false;
-    let mut resuming = false;
+    let mut jobs = 0usize;
+    let mut out: Option<&str> = None;
+    let mut resume: Option<&str> = None;
     let mut max_retries: Option<u32> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut it = args.iter();
@@ -52,36 +55,17 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--jobs" => {
-                let n = it
+                jobs = it
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
                     .unwrap_or_else(|| fail("--jobs needs a non-negative integer"));
-                Engine::global().set_jobs(n);
             }
-            "--out" => {
-                let path = it.next().unwrap_or_else(|| fail("--out needs a file path"));
-                let file = std::fs::File::create(path)
-                    .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-                Engine::global().set_sink(Some(Box::new(std::io::BufWriter::new(file))));
-            }
+            "--out" => out = Some(it.next().unwrap_or_else(|| fail("--out needs a file path"))),
             "--resume" => {
-                let path = it
-                    .next()
-                    .unwrap_or_else(|| fail("--resume needs a journal path"));
-                let summary = Engine::global()
-                    .resume(path)
-                    .unwrap_or_else(|e| fail(&format!("cannot resume from {path}: {e}")));
-                if summary.replayed > 0 || summary.dropped > 0 {
-                    eprintln!(
-                        "resume: replayed {} completed job(s) from {path}, dropped {} torn line(s)",
-                        summary.replayed, summary.dropped
-                    );
-                }
-                let quarantine_path = format!("{path}.failed.jsonl");
-                let file = std::fs::File::create(&quarantine_path)
-                    .unwrap_or_else(|e| fail(&format!("cannot create {quarantine_path}: {e}")));
-                Engine::global().set_quarantine_sink(Some(Box::new(file)));
-                resuming = true;
+                resume = Some(
+                    it.next()
+                        .unwrap_or_else(|| fail("--resume needs a journal path")),
+                );
             }
             "--max-retries" => {
                 max_retries = Some(
@@ -106,15 +90,6 @@ fn main() {
     }
     let selected = positional;
 
-    if let Some(seed) = chaos_seed {
-        install_chaos(seed);
-    }
-    // An explicit --max-retries wins over the chaos default, in either
-    // flag order.
-    if let Some(n) = max_retries {
-        Engine::global().set_max_retries(n);
-    }
-
     let mut unknown: Vec<&str> = selected
         .iter()
         .filter(|id| !reg.iter().any(|e| e.id == **id))
@@ -129,37 +104,49 @@ fn main() {
         std::process::exit(2);
     }
 
+    // One engine for every selected experiment, so a release one
+    // experiment computed is a cache hit for the next (E16 after E13).
+    let mut engine = Engine::new(EngineConfig::from_flags(jobs, chaos_seed, max_retries));
+    let mut outputs: Vec<String> = Vec::new();
+    if let Some(path) = out {
+        let file =
+            File::create(path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
+        engine.record_to(Box::new(BufWriter::new(file)));
+        outputs.push(path.to_owned());
+    }
+    if let Some(path) = resume {
+        let summary = engine
+            .resume(path)
+            .unwrap_or_else(|e| fail(&format!("cannot resume from {path}: {e}")));
+        if summary.replayed > 0 || summary.dropped > 0 {
+            eprintln!(
+                "resume: replayed {} completed job(s) from {path}, dropped {} torn line(s)",
+                summary.replayed, summary.dropped
+            );
+        }
+        let quarantine_path = format!("{path}.failed.jsonl");
+        let file = File::create(&quarantine_path)
+            .unwrap_or_else(|e| fail(&format!("cannot create {quarantine_path}: {e}")));
+        engine.quarantine_to(Box::new(file));
+        outputs.push(quarantine_path);
+    }
+
     for e in &reg {
         if !selected.is_empty() && !selected.contains(&e.id) {
             continue;
         }
         let report = if e.id == "e13" && quick {
-            study::e13_study(&study::StudyConfig::quick())
+            study::e13_study(&engine, &study::StudyConfig::quick())
         } else {
-            (e.run)()
+            (e.run)(&engine)
         };
         println!("{report}");
         println!("{}", "=".repeat(78));
     }
 
-    // Drop the sinks so the JSONL files are flushed before exit.
-    Engine::global().set_sink(None);
-    Engine::global().set_quarantine_sink(None);
-    if resuming {
-        Engine::global().detach_journal();
+    if let Err(e) = engine.finish() {
+        fail(&format!("cannot write {}: {e}", outputs.join(" or ")));
     }
-}
-
-/// Installs the standard chaos profile (~10% of jobs faulted, transient)
-/// for the given seed. Stall faults only become failures under a budget,
-/// so a default 2 s budget is set when none was configured; retries
-/// default to 2 so transient faults heal instead of littering the report.
-fn install_chaos(seed: u64) {
-    let engine = Engine::global();
-    engine.set_chaos(Some(ChaosConfig::seeded(seed)));
-    engine.set_budget(Some(Duration::from_secs(2)));
-    engine.set_max_retries(2);
-    eprintln!("chaos: seeded fault injection on (seed {seed}, ~10% of jobs, 2 s budget)");
 }
 
 fn fail(msg: &str) -> ! {

@@ -10,10 +10,10 @@
 //! different things — practical guidance for anyone adopting the paper's
 //! framework.
 //!
-//! The candidate releases are requested from the shared
-//! [`anoncmp_engine`] engine using the *same grid point E13 sweeps*
-//! (census rows/seed/zip-pool, k = 5): when E13 has already run in this
-//! process, every release here is a memoization cache hit — the report's
+//! The candidate releases are requested from the [`Engine`] the caller
+//! passes in, at the *same grid point E13 sweeps* (census
+//! rows/seed/zip-pool, k = 5): when E13 has already run on that engine,
+//! every release here is a memoization cache hit — the report's
 //! `engine cache:` line makes the reuse visible.
 
 use anoncmp_core::prelude::*;
@@ -37,10 +37,11 @@ fn comparator_pool(n: usize) -> Vec<(String, Box<dyn Comparator>)> {
     ]
 }
 
-/// Runs E16 with the given dataset size. The dataset seed and zip pool
-/// match [`StudyConfig::default`], so at the default 1000 rows the eight
-/// releases coincide with E13's k = 5 grid row.
-pub fn e16_agreement_with(rows: usize) -> String {
+/// Runs E16 on `engine` with the given dataset size. The dataset seed
+/// and zip pool match [`StudyConfig::default`], so at the default 1000
+/// rows the eight releases coincide with E13's k = 5 grid row, and are
+/// engine cache hits when E13 ran earlier on the same engine.
+pub fn e16_agreement_with(engine: &Engine, rows: usize) -> String {
     let study = StudyConfig {
         rows,
         ..StudyConfig::default()
@@ -56,7 +57,7 @@ pub fn e16_agreement_with(rows: usize) -> String {
             properties: vec![PropertySpec::EqClassSize],
         })
         .collect();
-    let sweep = Engine::global().run(&jobs);
+    let sweep = engine.run(&jobs);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -121,19 +122,13 @@ pub fn e16_agreement_with(rows: usize) -> String {
     out
 }
 
-/// Runs E16 at the E13 grid size, so its releases are engine cache hits
-/// when E13 ran earlier in the same process.
-pub fn e16_agreement() -> String {
-    e16_agreement_with(1000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_structure() {
-        let s = e16_agreement_with(150);
+        let s = e16_agreement_with(&Engine::new(EngineConfig::default()), 150);
         assert!(s.contains("Kendall-τ"));
         for label in ["cov", "spr", "rank", "hv", "eps+"] {
             assert!(s.contains(label), "missing {label}");
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn self_agreement_is_perfect() {
-        let s = e16_agreement_with(150);
+        let s = e16_agreement_with(&Engine::new(EngineConfig::default()), 150);
         // Every row contains at least one exact 1.00 (the diagonal).
         let matrix_lines: Vec<&str> = s
             .lines()
@@ -160,29 +155,24 @@ mod tests {
 
     #[test]
     fn releases_are_cache_hits_after_a_study_style_sweep() {
-        // Prime the shared cache with an E13-style grid at this size, then
-        // check E16 reuses those releases — the acceptance scenario for
-        // cross-experiment memoization, scaled down for test speed.
+        // Prime the engine's cache with an E13-style grid at this size,
+        // then check E16 reuses those releases — the acceptance scenario
+        // for cross-experiment memoization, scaled down for test speed.
+        let engine = Engine::new(EngineConfig::default());
         let study = StudyConfig {
             rows: 120,
             ks: vec![5],
             ..StudyConfig::default()
         };
-        Engine::global().run(&study.jobs());
-        let s = e16_agreement_with(120);
+        engine.run(&study.jobs());
+        let s = e16_agreement_with(&engine, 120);
         let cache_line = s
             .lines()
             .find(|l| l.contains("engine cache:"))
             .expect("cache summary present");
-        // Other tests share the global engine and may interleave their own
-        // lookups into this sweep's counters, so assert on the hits this
-        // sweep is guaranteed to have made rather than on exact counts.
-        let hits: u64 = cache_line
-            .split(" hit")
-            .next()
-            .and_then(|prefix| prefix.rsplit(' ').next())
-            .and_then(|n| n.parse().ok())
-            .expect("cache summary states a hit count");
-        assert!(hits >= 8, "expected all 8 releases cached: {cache_line}");
+        assert_eq!(
+            cache_line.trim(),
+            "engine cache: 8 hit(s), 0 miss(es) this sweep."
+        );
     }
 }

@@ -10,8 +10,8 @@ use anoncmp_anonymize::prelude::*;
 use anoncmp_core::prelude::{ComparisonMatrix, DominanceComparator, Preference, PropertyVector};
 use anoncmp_engine::prelude::*;
 
-/// Runs E14 with the given dataset size.
-pub fn e14_frontier_with(rows: usize) -> String {
+/// Runs E14 on `engine` with the given dataset size.
+pub fn e14_frontier_with(engine: &Engine, rows: usize) -> String {
     let spec = DatasetSpec::Census {
         rows,
         seed: 777,
@@ -50,8 +50,8 @@ pub fn e14_frontier_with(rows: usize) -> String {
     }
 
     // Where do the classical constraint-based outputs sit? The releases
-    // come from the shared engine (and its cache, if anything else asked
-    // for this grid point already).
+    // come from the engine (and its cache, if anything else asked it for
+    // this grid point already).
     out.push_str("\n  classical algorithms against the frontier (k = 5):\n");
     let jobs: Vec<EvalJob> = [
         AlgorithmSpec::Datafly,
@@ -67,7 +67,7 @@ pub fn e14_frontier_with(rows: usize) -> String {
         properties: vec![PropertySpec::EqClassSize],
     })
     .collect();
-    let sweep = Engine::global().run(&jobs);
+    let sweep = engine.run(&jobs);
     // Frontier samples and classical points form one candidate list; one
     // dominance matrix then answers every placement query (`First` at
     // (frontier, classical) ⟺ strict point dominance).
@@ -121,18 +121,13 @@ pub fn e14_frontier_with(rows: usize) -> String {
     out
 }
 
-/// Runs E14 at the default size.
-pub fn e14_frontier() -> String {
-    e14_frontier_with(400)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn frontier_report_has_curve_and_placements() {
-        let s = e14_frontier_with(120);
+        let s = e14_frontier_with(&Engine::new(EngineConfig::default()), 120);
         assert!(s.contains("Pareto front"));
         assert!(s.contains("mean |EC| (priv)"));
         for name in ["datafly", "incognito", "mondrian"] {

@@ -1,9 +1,11 @@
 //! The experiment suite: one function per paper table/figure (E01–E12)
 //! plus the extended studies (E13 algorithm comparison, E14 §7 Pareto
 //! frontier, E15 query-workload utility, E16 comparator agreement, E17
-//! mixed-family perturbation-vs-generalization tournament). See
-//! DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-//! outputs.
+//! mixed-family perturbation-vs-generalization tournament), which run
+//! their jobs on the engine they are given. See DESIGN.md for the
+//! experiment index and EXPERIMENTS.md for recorded outputs.
+
+use anoncmp_engine::Engine;
 
 pub mod agreement;
 pub mod figures;
@@ -22,8 +24,9 @@ pub struct Experiment {
     pub id: &'static str,
     /// What paper artifact it reproduces.
     pub describes: &'static str,
-    /// Runs the experiment.
-    pub run: fn() -> String,
+    /// Runs the experiment; E13–E17 run their jobs on the engine, the
+    /// paper's tables and figures ignore it.
+    pub run: fn(&Engine) -> String,
 }
 
 /// The full experiment registry, in paper order.
@@ -32,87 +35,89 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "e01",
             describes: "Table 1 — hypothetical microdata",
-            run: paper_tables::e01_table1,
+            run: |_| paper_tables::e01_table1(),
         },
         Experiment {
             id: "e02",
             describes: "Table 2 — 3-anonymous T3a and T3b",
-            run: paper_tables::e02_table2,
+            run: |_| paper_tables::e02_table2(),
         },
         Experiment {
             id: "e03",
             describes: "Table 3 — 4-anonymous T4",
-            run: paper_tables::e03_table3,
+            run: |_| paper_tables::e03_table3(),
         },
         Experiment {
             id: "e04",
             describes: "Figure 1 — per-tuple class sizes",
-            run: figures::e04_figure1,
+            run: |_| figures::e04_figure1(),
         },
         Experiment {
             id: "e05",
             describes: "§3 — classical quality indices",
-            run: indices::e05_section3_indices,
+            run: |_| indices::e05_section3_indices(),
         },
         Experiment {
             id: "e06",
             describes: "Figure 2 — ▶rank comparator",
-            run: figures::e06_figure2,
+            run: |_| figures::e06_figure2(),
         },
         Experiment {
             id: "e07",
             describes: "Figure 3 — ▶cov vs ▶spr",
-            run: figures::e07_figure3,
+            run: |_| figures::e07_figure3(),
         },
         Experiment {
             id: "e08",
             describes: "§5.3 — spread counterexample",
-            run: indices::e08_spread_counterexample,
+            run: |_| indices::e08_spread_counterexample(),
         },
         Experiment {
             id: "e09",
             describes: "Figure 4 — ▶hv hypervolume",
-            run: figures::e09_figure4,
+            run: |_| figures::e09_figure4(),
         },
         Experiment {
             id: "e10",
             describes: "§5.5 — ▶WTD worked example",
-            run: indices::e10_weighted_example,
+            run: |_| indices::e10_weighted_example(),
         },
         Experiment {
             id: "e11",
             describes: "Table 4 — dominance relations",
-            run: indices::e11_dominance_table,
+            run: |_| indices::e11_dominance_table(),
         },
         Experiment {
             id: "e12",
             describes: "Theorem 1 — index falsification",
-            run: theorem::e12_theorem1,
+            run: |_| theorem::e12_theorem1(),
         },
         Experiment {
             id: "e13",
             describes: "Extended study — 8 algorithms × k sweep",
-            run: || study::e13_study(&study::StudyConfig::default()),
+            run: |engine| study::e13_study(engine, &study::StudyConfig::default()),
         },
         Experiment {
             id: "e14",
             describes: "§7 extension — privacy/utility Pareto frontier",
-            run: frontier::e14_frontier,
+            run: |engine| frontier::e14_frontier_with(engine, 400),
         },
         Experiment {
             id: "e15",
             describes: "Query-workload utility across algorithms",
-            run: queries::e15_queries,
+            run: |engine| queries::e15_queries_with(engine, 400),
         },
         Experiment {
             id: "e16",
             describes: "Comparator agreement (Kendall-τ matrix)",
-            run: agreement::e16_agreement,
+            // E13's full-size grid point, so its releases are cache hits
+            // after E13 on the same engine.
+            run: |engine| agreement::e16_agreement_with(engine, 1000),
         },
         Experiment {
             id: "e17",
             describes: "Mixed-family tournament — perturbation vs generalization",
-            run: perturb::e17_perturb,
+            run: |engine| perturb::e17_perturb_with(engine, 300),
         },
     ]
 }

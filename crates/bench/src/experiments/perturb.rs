@@ -22,8 +22,8 @@ fn slate() -> Vec<AlgorithmSpec> {
         .collect()
 }
 
-/// Runs E17 with the given dataset size.
-pub fn e17_perturb_with(rows: usize) -> String {
+/// Runs E17 on `engine` with the given dataset size.
+pub fn e17_perturb_with(engine: &Engine, rows: usize) -> String {
     let spec = DatasetSpec::Census {
         rows,
         seed: 1709,
@@ -41,7 +41,7 @@ pub fn e17_perturb_with(rows: usize) -> String {
             properties: properties.clone(),
         })
         .collect();
-    let sweep = Engine::global().run(&jobs);
+    let sweep = engine.run(&jobs);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -101,18 +101,13 @@ pub fn e17_perturb_with(rows: usize) -> String {
     out
 }
 
-/// Runs E17 at the default size.
-pub fn e17_perturb() -> String {
-    e17_perturb_with(300)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_ranks_both_families() {
-        let s = e17_perturb_with(120);
+        let s = e17_perturb_with(&Engine::new(EngineConfig::default()), 120);
         for name in ["datafly", "mondrian", "noise:0.05", "mdav:5", "rankswap:8"] {
             assert!(s.contains(name), "missing {name}");
         }

@@ -14,8 +14,8 @@ use anoncmp_core::prelude::*;
 use anoncmp_engine::prelude::*;
 use anoncmp_microdata::prelude::AnonymizedTable;
 
-/// Runs E15 with the given dataset size.
-pub fn e15_queries_with(rows: usize) -> String {
+/// Runs E15 on `engine` with the given dataset size.
+pub fn e15_queries_with(engine: &Engine, rows: usize) -> String {
     let spec = DatasetSpec::Census {
         rows,
         seed: 515,
@@ -44,7 +44,7 @@ pub fn e15_queries_with(rows: usize) -> String {
         properties: vec![],
     })
     .collect();
-    let sweep = Engine::global().run(&jobs);
+    let sweep = engine.run(&jobs);
     let mut releases: Vec<Arc<AnonymizedTable>> = Vec::new();
     for o in &sweep.outcomes {
         match &o.record.status {
@@ -54,7 +54,7 @@ pub fn e15_queries_with(rows: usize) -> String {
             JobStatus::Ok => match o
                 .release
                 .clone()
-                .or_else(|| Engine::global().release_for(&o.job))
+                .or_else(|| engine.release_for(&o.job))
                 .and_then(|r| r.as_generalized().map(|t| Arc::new(t.clone())))
             {
                 Some(t) => releases.push(t),
@@ -107,18 +107,13 @@ pub fn e15_queries_with(rows: usize) -> String {
     out
 }
 
-/// Runs E15 at the default size.
-pub fn e15_queries() -> String {
-    e15_queries_with(400)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_contains_both_views() {
-        let s = e15_queries_with(150);
+        let s = e15_queries_with(&Engine::new(EngineConfig::default()), 150);
         assert!(s.contains("mean relative error"));
         assert!(s.contains("▶cov"));
         assert!(s.contains("ranking (Copeland)"));
@@ -129,7 +124,7 @@ mod tests {
 
     #[test]
     fn local_recoding_leads_the_workloads() {
-        let s = e15_queries_with(300);
+        let s = e15_queries_with(&Engine::new(EngineConfig::default()), 300);
         // Mondrian leads the 1-predicate workload outright and places in
         // the top two on the 2-predicate workload (top-down's boundary
         // stop makes that race close).

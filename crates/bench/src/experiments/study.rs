@@ -7,11 +7,12 @@
 //! scalar indices, the pairwise ▶cov/▶spr tournaments, ▶rank distances,
 //! bias statistics, and the multi-property ▶WTD/▶LEX verdicts.
 //!
-//! The algorithm × k grid is executed by [`anoncmp_engine`]'s shared
-//! engine: jobs are declared as [`EvalJob`]s, run on the worker pool
-//! (`experiments --jobs N` sets its width), and memoized — a later
-//! experiment that asks for the same release (E16's agreement tournament
-//! does) gets a cache hit instead of a recomputation.
+//! The algorithm × k grid runs on the [`Engine`] the caller passes in:
+//! jobs are declared as [`EvalJob`]s, run on its worker pool
+//! (`experiments --jobs N` sets its width), and memoized, so a later
+//! experiment on the same engine that asks for the same release (E16's
+//! agreement tournament does) gets a cache hit instead of a
+//! recomputation.
 
 use anoncmp_anonymize::prelude::Constraint;
 use anoncmp_core::prelude::*;
@@ -201,10 +202,10 @@ fn status_message(status: &JobStatus) -> String {
     }
 }
 
-/// Runs the full study on the shared engine.
-pub fn e13_study(config: &StudyConfig) -> String {
+/// Runs the full study on `engine`.
+pub fn e13_study(engine: &Engine, config: &StudyConfig) -> String {
     let jobs = config.jobs();
-    let sweep = Engine::global().run(&jobs);
+    let sweep = engine.run(&jobs);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -238,7 +239,7 @@ mod tests {
 
     #[test]
     fn quick_study_runs_and_reports_all_algorithms() {
-        let s = e13_study(&StudyConfig::quick());
+        let s = e13_study(&Engine::new(EngineConfig::default()), &StudyConfig::quick());
         for name in [
             "datafly",
             "samarati",

@@ -3,7 +3,7 @@
 //! The experiment-reproduction harness for the `anoncmp` workspace. The
 //! [`experiments`] module maps every table and figure of the EDBT'09 paper
 //! to a runnable experiment (E01–E12) and adds the extended studies
-//! (E13–E16); the `experiments` binary prints them:
+//! (E13–E17); the `experiments` binary prints them:
 //!
 //! ```text
 //! cargo run -p anoncmp-bench --release --bin experiments          # all

@@ -1,7 +1,8 @@
-//! Golden-file tests pinning the experiment reports to committed
-//! snapshots: every registry experiment except E13 and E17 (the paper's
-//! tables and figures, the §7 frontier, the query workload and the
-//! comparator-agreement study), plus a small E17 tournament.
+//! Golden-file tests pinning every registry experiment's report to a
+//! committed snapshot, each run on a fresh engine: the paper's tables and
+//! figures, the §7 frontier, the query workload and the
+//! comparator-agreement study at their registry sizes, and the E13 study
+//! and E17 tournament at their small sizes.
 //!
 //! The existing unit tests check that a handful of tokens appear; these
 //! pin the *entire* rendering byte-for-byte, so an innocent-looking
@@ -14,7 +15,13 @@
 
 use std::path::PathBuf;
 
-use anoncmp_bench::experiments::{perturb, registry};
+use anoncmp_bench::experiments::{perturb, registry, study};
+use anoncmp_engine::{Engine, EngineConfig};
+
+/// A fresh engine, so no report depends on what ran before it.
+fn engine() -> Engine {
+    Engine::new(EngineConfig::default())
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -59,22 +66,28 @@ fn assert_matches_golden(name: &str, actual: &str) {
     }
 }
 
-/// Pins each registry experiment's report under its id. E13 stays out:
-/// its report counts engine cache hits, which depend on what ran earlier
-/// in the process. E17 is pinned below at a smaller size. E16 prints the
-/// same cache count on one line, which is dropped before comparing.
+/// Pins each registry experiment's report under its id. E13 and E17 are
+/// pinned below at their small sizes.
 #[test]
 fn registry_experiments_match_golden() {
     for experiment in registry() {
         if matches!(experiment.id, "e13" | "e17") {
             continue;
         }
-        let report: String = (experiment.run)()
-            .split_inclusive('\n')
-            .filter(|line| !line.contains("engine cache:"))
-            .collect();
-        assert_matches_golden(experiment.id, &report);
+        assert_matches_golden(experiment.id, &(experiment.run)(&engine()));
     }
+}
+
+/// Pins the comparative study at its quick size, the report that
+/// `experiments e13 --quick` prints: every algorithm's scalar row,
+/// tournament wins, ▶rank distance and multi-property champion, and the
+/// engine's cache and resilience lines.
+#[test]
+fn e13_quick_study_matches_golden() {
+    assert_matches_golden(
+        "e13",
+        &study::e13_study(&engine(), &study::StudyConfig::quick()),
+    );
 }
 
 /// Pins a small mixed-family tournament byte-for-byte: the perturbative
@@ -83,5 +96,5 @@ fn registry_experiments_match_golden() {
 /// rendering shows up here as a one-line diff.
 #[test]
 fn e17_perturb_tournament_matches_golden() {
-    assert_matches_golden("e17", &perturb::e17_perturb_with(120));
+    assert_matches_golden("e17", &perturb::e17_perturb_with(&engine(), 120));
 }

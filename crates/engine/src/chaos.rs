@@ -26,9 +26,10 @@ use std::time::Duration;
 
 use crate::fingerprint::derive_seed;
 
-/// Runtime-configured fault injection. Install with
-/// [`Engine::set_chaos`](crate::engine::Engine::set_chaos) or the
-/// `--chaos-seed` CLI flag.
+/// Deterministic fault injection, set in
+/// [`EngineConfig::chaos`](crate::engine::EngineConfig::chaos) when an
+/// engine is built; the `--chaos-seed` CLI flag sets it through
+/// [`EngineConfig::from_flags`](crate::engine::EngineConfig::from_flags).
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Seed all fault decisions derive from.

@@ -69,7 +69,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -606,22 +605,20 @@ pub fn run_worker(
         let cores = thread::available_parallelism().map_or(1, |n| n.get());
         (cores / spec.shards).max(1)
     };
-    let engine = Arc::new(Engine::new(EngineConfig {
+    let mut engine = Engine::new(EngineConfig {
         jobs: engine_jobs,
         root_seed: spec.root_seed,
         chaos: abort_after.map(ChaosConfig::abort_after),
         ..EngineConfig::default()
-    }));
+    });
     engine.resume_sharded(shard_journal(dir, shard), spec.shard_meta(shard))?;
     let quarantine = File::create(dir.join(format!("shard-{shard}.failed.jsonl")))?;
-    engine.set_quarantine_sink(Some(Box::new(quarantine)));
+    engine.quarantine_to(Box::new(quarantine));
 
     let heartbeat_path = dir.join(format!("shard-{shard}.hb"));
-    let stop = Arc::new(AtomicBool::new(false));
-    let beats = {
-        let stop = Arc::clone(&stop);
-        let engine = Arc::clone(&engine);
-        thread::spawn(move || {
+    let stop = AtomicBool::new(false);
+    let (started, sweep) = thread::scope(|scope| {
+        scope.spawn(|| {
             let mut beat = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let marker = format!("beat={beat} records={}\n", engine.journal_appends());
@@ -629,17 +626,15 @@ pub fn run_worker(
                 beat += 1;
                 thread::sleep(HEARTBEAT_INTERVAL);
             }
-        })
-    };
-
-    let started = Instant::now();
-    let sweep = engine.run(&jobs);
-    stop.store(true, Ordering::Relaxed);
-    let _ = beats.join();
+        });
+        let started = Instant::now();
+        let sweep = engine.run(&jobs);
+        stop.store(true, Ordering::Relaxed);
+        (started, sweep)
+    });
 
     let records = engine.journal_appends();
-    engine.set_quarantine_sink(None);
-    engine.detach_journal();
+    engine.finish()?;
     let summary = WorkerSummary {
         shard,
         jobs: jobs.len(),

@@ -9,8 +9,8 @@
 //! worker threads that claim pending jobs from a shared atomic counter
 //! (idle workers pull the next pending job, so a slow job never holds up
 //! the others). The submitting thread collects the `(index, outcome)`
-//! pairs, restores submission order and streams JSONL records to an
-//! optional sink.
+//! pairs, restores submission order and writes the JSONL records to the
+//! record sink, if one is attached.
 //!
 //! # Determinism
 //!
@@ -46,7 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 use anoncmp_anonymize::prelude::{AnonymizeError, DatasetContext, Result as AnonymizeResult};
@@ -59,7 +59,7 @@ use crate::cache::{CacheStats, MemoCache};
 use crate::chaos::{ChaosConfig, Fault, CHAOS_PANIC_MESSAGE};
 use crate::fingerprint::{derive_seed, hex_id, release_digest, Fingerprinter};
 use crate::job::EvalJob;
-use crate::journal::{Journal, ShardMeta};
+use crate::journal::{Journal, Replay, ShardMeta};
 use crate::record::{
     AttemptFailure, EvalRecord, JobStatus, PropertySummary, QuarantineRecord, ReleaseMetrics,
 };
@@ -134,9 +134,9 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // The default root seed is shared by every consumer of
-        // `Engine::global()`, which is what lets E16 reuse releases first
-        // computed by E13: equal specs + equal root seed = equal cache keys.
+        // Equal specs under equal root seeds have equal cache keys, so
+        // E16 reuses the releases E13 computed on the same engine only
+        // because both leave the root seed at this default.
         EngineConfig {
             jobs: 0,
             root_seed: 0xED5B_2009,
@@ -147,6 +147,34 @@ impl Default for EngineConfig {
             vector_capacity: 0,
             chunk_threads: 0,
         }
+    }
+}
+
+impl EngineConfig {
+    /// The settings the `--jobs`, `--chaos-seed` and `--max-retries`
+    /// flags of the `experiments` and `anoncmp compare` binaries select.
+    ///
+    /// A chaos seed runs the chaos drill, and announces it on stderr:
+    /// [`ChaosConfig::seeded`] faults about 10% of jobs, a 2 s per-job
+    /// budget makes its stall faults fail (they only fail under a
+    /// budget), and 2 retries heal them instead of littering the report.
+    /// An explicit `max_retries` wins over the drill's 2, whichever flag
+    /// came first.
+    pub fn from_flags(jobs: usize, chaos_seed: Option<u64>, max_retries: Option<u32>) -> Self {
+        let mut config = EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        };
+        if let Some(seed) = chaos_seed {
+            config.chaos = Some(ChaosConfig::seeded(seed));
+            config.budget = Some(Duration::from_secs(2));
+            config.retry.max_retries = 2;
+            eprintln!("chaos: seeded fault injection on (seed {seed}, ~10% of jobs, 2 s budget)");
+        }
+        if let Some(n) = max_retries {
+            config.retry.max_retries = n;
+        }
+        config
     }
 }
 
@@ -236,7 +264,8 @@ pub struct ResumeSummary {
     pub dropped: usize,
 }
 
-/// Internal journal state: the open file plus chaos-truncation bookkeeping.
+/// Internal journal state: the open file, chaos-truncation bookkeeping
+/// and the records the journal holds.
 struct JournalState {
     journal: Journal,
     /// Appends so far (replayed entries count toward it, so chaos
@@ -245,28 +274,68 @@ struct JournalState {
     /// Set after an I/O failure or a chaos-injected torn write; a dead
     /// journal stops checkpointing but never aborts the sweep.
     dead: bool,
+    /// Completed records keyed by job fingerprint: the journal's replay
+    /// plus everything checkpointed into it since. Jobs found here are
+    /// served without recomputation.
+    completed: HashMap<u64, EvalRecord>,
+}
+
+/// A JSONL output that keeps its first write error: after a failed
+/// write nothing more is written, and [`Engine::finish`] returns the
+/// error.
+#[derive(Default)]
+struct Sink {
+    writer: Option<Box<dyn Write + Send>>,
+    error: Option<io::Error>,
+}
+
+impl Sink {
+    /// Writes one line per item, then flushes.
+    fn write_lines(&mut self, lines: impl IntoIterator<Item = String>) {
+        let Some(writer) = self.writer.as_mut() else {
+            return;
+        };
+        let written = lines
+            .into_iter()
+            .try_for_each(|line| writeln!(writer, "{line}"))
+            .and_then(|()| writer.flush());
+        if let Err(e) = written {
+            self.writer = None;
+            self.error = Some(e);
+        }
+    }
+
+    /// Flushes the writer, or returns the first write error.
+    fn finish(self) -> io::Result<()> {
+        match (self.error, self.writer) {
+            (Some(e), _) => Err(e),
+            (None, Some(mut writer)) => writer.flush(),
+            (None, None) => Ok(()),
+        }
+    }
 }
 
 /// The parallel, memoizing, checkpointing sweep executor.
+///
+/// Settings are fixed by the [`EngineConfig`] it is built from, and its
+/// outputs (record sink, quarantine sink, checkpoint journal) are
+/// attached through `&mut self` before it is shared, so every sweep on
+/// one engine runs under the same settings.
 pub struct Engine {
     cache: MemoCache,
     root_seed: u64,
-    budget: Mutex<Option<Duration>>,
-    jobs: AtomicUsize,
-    retry: Mutex<RetryPolicy>,
-    chaos: Mutex<Option<ChaosConfig>>,
-    /// Optional process-level record sink (the CLI's `--out` JSONL file);
-    /// every sweep appends its records here in submission order.
-    sink: Mutex<Option<Box<dyn Write + Send>>>,
-    /// Optional quarantine sink (`failed.jsonl`): one JSONL
+    budget: Option<Duration>,
+    jobs: usize,
+    retry: RetryPolicy,
+    chaos: Option<ChaosConfig>,
+    /// The record sink (the CLI's `--out` JSONL file): every sweep
+    /// appends its records here in submission order.
+    sink: Mutex<Sink>,
+    /// The quarantine sink (`failed.jsonl`): one JSONL
     /// [`QuarantineRecord`] per job that exhausted its retry budget.
-    quarantine_sink: Mutex<Option<Box<dyn Write + Send>>>,
+    quarantine_sink: Mutex<Sink>,
     /// The open checkpoint journal, when resumable execution is on.
     journal: Mutex<Option<JournalState>>,
-    /// Completed records keyed by job fingerprint: journal replay plus
-    /// everything checkpointed this process. Jobs found here are served
-    /// without recomputation.
-    completed: Mutex<HashMap<u64, EvalRecord>>,
     retries_total: AtomicU64,
     quarantined_total: AtomicU64,
 }
@@ -275,9 +344,9 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("root_seed", &self.root_seed)
-            .field("budget", &*lock(&self.budget))
+            .field("budget", &self.budget)
             .field("jobs", &self.jobs)
-            .field("retry", &*lock(&self.retry))
+            .field("retry", &self.retry)
             .field("cache", &self.cache.stats())
             .finish()
     }
@@ -289,61 +358,28 @@ impl Engine {
         install_panic_capture();
         let cache = MemoCache::new();
         cache.set_capacity(config.release_capacity, config.vector_capacity);
+        let jobs = match config.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         Engine {
             cache,
             root_seed: config.root_seed,
-            budget: Mutex::new(config.budget),
-            jobs: AtomicUsize::new(config.jobs),
-            retry: Mutex::new(config.retry),
-            chaos: Mutex::new(config.chaos),
-            sink: Mutex::new(None),
-            quarantine_sink: Mutex::new(None),
+            budget: config.budget,
+            jobs,
+            retry: config.retry,
+            chaos: config.chaos,
+            sink: Mutex::default(),
+            quarantine_sink: Mutex::default(),
             journal: Mutex::new(None),
-            completed: Mutex::new(HashMap::new()),
             retries_total: AtomicU64::new(0),
             quarantined_total: AtomicU64::new(0),
         }
     }
 
-    /// The process-wide shared engine. Experiments that run in the same
-    /// process share its cache, so a release computed for one experiment
-    /// (say E13's k = 5 sweep) is a cache hit for the next (E16's
-    /// agreement tournament over the same grid point).
-    pub fn global() -> &'static Engine {
-        static GLOBAL: OnceLock<Engine> = OnceLock::new();
-        GLOBAL.get_or_init(|| Engine::new(EngineConfig::default()))
-    }
-
-    /// Sets the worker count (`0` = one per available CPU).
-    pub fn set_jobs(&self, jobs: usize) {
-        self.jobs.store(jobs, Ordering::Relaxed);
-    }
-
-    /// The effective worker count.
+    /// The worker count.
     pub fn jobs(&self) -> usize {
-        match self.jobs.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-
-    /// Sets (or clears) the per-job wall-clock budget.
-    pub fn set_budget(&self, budget: Option<Duration>) {
-        *lock(&self.budget) = budget;
-    }
-
-    /// Sets the retry count, keeping the configured backoff (the CLI's
-    /// `--max-retries` flag).
-    pub fn set_max_retries(&self, max_retries: u32) {
-        lock(&self.retry).max_retries = max_retries;
-    }
-
-    /// Installs (or removes) deterministic fault injection (the CLI's
-    /// `--chaos-seed` flag).
-    pub fn set_chaos(&self, chaos: Option<ChaosConfig>) {
-        *lock(&self.chaos) = chaos;
+        self.jobs
     }
 
     /// Current cumulative cache counters.
@@ -368,84 +404,66 @@ impl Engine {
         self.cache.clear_releases();
     }
 
-    /// Installs (or removes) a process-level record sink; every subsequent
-    /// sweep appends its records to it as JSONL, in submission order. This
-    /// backs the CLI's `--out <path>` flag.
-    pub fn set_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        *lock(&self.sink) = sink;
+    /// Attaches the record sink; every sweep appends its records to it as
+    /// JSONL, in submission order. This backs the CLI's `--out <path>`
+    /// flag.
+    pub fn record_to(&mut self, sink: Box<dyn Write + Send>) {
+        exclusive(&mut self.sink).writer = Some(sink);
     }
 
-    /// Installs (or removes) the quarantine sink; jobs that exhaust their
-    /// retry budget append one [`QuarantineRecord`] JSONL line each. This
-    /// backs the CLI's `failed.jsonl` file.
-    pub fn set_quarantine_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        *lock(&self.quarantine_sink) = sink;
+    /// Attaches the quarantine sink; jobs that exhaust their retry budget
+    /// append one [`QuarantineRecord`] JSONL line each. This backs the
+    /// CLI's `failed.jsonl` file.
+    pub fn quarantine_to(&mut self, sink: Box<dyn Write + Send>) {
+        exclusive(&mut self.quarantine_sink).writer = Some(sink);
     }
 
-    /// Resumes from a checkpoint journal (creating it if absent): replays
+    /// Resumes from a checkpoint journal, creating it if absent: replays
     /// completed jobs, truncates any torn tail, and keeps the journal
-    /// open so subsequent sweeps checkpoint into it. Jobs found in the
-    /// journal are served from it — skipped, not recomputed — and the
-    /// merged record set is byte-identical (canonically) to an
-    /// uninterrupted run.
-    pub fn resume(&self, path: impl AsRef<Path>) -> io::Result<ResumeSummary> {
-        let (journal, replay) = Journal::open_resumable(path)?;
-        *lock(&self.journal) = Some(JournalState {
-            journal,
-            appends: replay.entries as u64,
-            dead: false,
-        });
-        let summary = ResumeSummary {
-            replayed: replay.completed.len(),
-            dropped: replay.dropped,
-        };
-        lock(&self.completed).extend(replay.completed);
-        Ok(summary)
+    /// open so every sweep checkpoints into it. Jobs found in the journal
+    /// are served from it (skipped, not recomputed), and the merged
+    /// record set is byte-identical (canonically) to an uninterrupted
+    /// run.
+    pub fn resume(&mut self, path: impl AsRef<Path>) -> io::Result<ResumeSummary> {
+        Ok(self.attach(Journal::open_resumable(path)?))
     }
 
     /// Like [`Engine::resume`], but for a per-shard journal bound to
     /// `meta`: a missing journal is created fresh with the shard header,
     /// an existing one must carry a matching header (a journal for a
     /// different shard range is refused). This is the worker-side resume
-    /// path of the distributed runner — a respawned worker replays what
+    /// path of the distributed runner: a respawned worker replays what
     /// its predecessor already fsync'd and repeats none of it.
     pub fn resume_sharded(
-        &self,
+        &mut self,
         path: impl AsRef<Path>,
         meta: ShardMeta,
     ) -> io::Result<ResumeSummary> {
-        let (journal, replay) = Journal::open_resumable_sharded(path, meta)?;
-        *lock(&self.journal) = Some(JournalState {
-            journal,
-            appends: replay.entries as u64,
-            dead: false,
-        });
+        Ok(self.attach(Journal::open_resumable_sharded(path, meta)?))
+    }
+
+    /// Installs an opened journal; its replayed records become the
+    /// completion map.
+    fn attach(&mut self, (journal, replay): (Journal, Replay)) -> ResumeSummary {
         let summary = ResumeSummary {
             replayed: replay.completed.len(),
             dropped: replay.dropped,
         };
-        lock(&self.completed).extend(replay.completed);
-        Ok(summary)
-    }
-
-    /// Starts a fresh checkpoint journal at `path` (truncating any
-    /// existing file). Subsequent sweeps append each completed job,
-    /// fsync'd, so a later [`Engine::resume`] can pick up where a killed
-    /// process left off.
-    pub fn checkpoint_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        *lock(&self.journal) = Some(JournalState {
-            journal: Journal::create(path)?,
-            appends: 0,
+        *exclusive(&mut self.journal) = Some(JournalState {
+            journal,
+            appends: replay.entries as u64,
             dead: false,
+            completed: replay.completed,
         });
-        Ok(())
+        summary
     }
 
-    /// Detaches the journal (if any) and forgets replayed completions.
-    /// Subsequent sweeps recompute everything (modulo the memo cache).
-    pub fn detach_journal(&self) {
-        *lock(&self.journal) = None;
-        lock(&self.completed).clear();
+    /// Flushes the record and quarantine sinks and closes the journal.
+    /// Returns the first write error either sink met; the sweeps that met
+    /// it still completed, and the sink stopped writing at it.
+    pub fn finish(mut self) -> io::Result<()> {
+        let records = std::mem::take(exclusive(&mut self.sink)).finish();
+        records.and(std::mem::take(exclusive(&mut self.quarantine_sink)).finish())
     }
 
     /// Transient-failure retries performed over this engine's lifetime.
@@ -463,25 +481,6 @@ impl Engine {
     /// appended this process. `0` when no journal is attached.
     pub fn journal_appends(&self) -> u64 {
         lock(&self.journal).as_ref().map_or(0, |s| s.appends)
-    }
-
-    /// Runs a sweep, returning outcomes in submission order.
-    ///
-    /// The sweep builds one [`DatasetContext`] per distinct dataset it
-    /// runs, so its full-domain searches share one lattice index per
-    /// dataset, and drops them when it returns: no index outlives its
-    /// sweep. The one exception is a job abandoned by the wall-clock
-    /// budget, whose watchdog thread keeps its context until the job
-    /// finishes.
-    pub fn run(&self, jobs: &[EvalJob]) -> SweepResult {
-        self.run_sweep(jobs, None).expect("no sink, no io")
-    }
-
-    /// Runs a sweep, streaming each record to `sink` as one JSONL line as
-    /// soon as it and all earlier-submitted records are known (records
-    /// appear in submission order).
-    pub fn run_streaming(&self, jobs: &[EvalJob], sink: &mut dyn Write) -> io::Result<SweepResult> {
-        self.run_sweep(jobs, Some(sink))
     }
 
     /// The release for a job: cache-served, or computed on the calling
@@ -506,11 +505,16 @@ impl Engine {
         }
     }
 
-    fn run_sweep(
-        &self,
-        jobs: &[EvalJob],
-        mut sink: Option<&mut dyn Write>,
-    ) -> io::Result<SweepResult> {
+    /// Runs a sweep, returning outcomes in submission order and appending
+    /// their records to the record sink, if one is attached.
+    ///
+    /// The sweep builds one [`DatasetContext`] per distinct dataset it
+    /// runs, so its full-domain searches share one lattice index per
+    /// dataset, and drops them when it returns: no index outlives its
+    /// sweep. The one exception is a job abandoned by the wall-clock
+    /// budget, whose watchdog thread keeps its context until the job
+    /// finishes.
+    pub fn run(&self, jobs: &[EvalJob]) -> SweepResult {
         let started = Instant::now();
         let stats_before = self.cache.stats();
         let retries_before = self.retries_total.load(Ordering::Relaxed);
@@ -536,14 +540,11 @@ impl Engine {
         // extraction).
         let mut slots: Vec<Option<JobOutcome>> = (0..unique.len()).map(|_| None).collect();
         let mut resumed = 0usize;
-        {
-            let completed = lock(&self.completed);
-            if !completed.is_empty() {
-                for (slot, &i) in unique.iter().enumerate() {
-                    if let Some(record) = completed.get(&jobs[i].job_fingerprint()) {
-                        slots[slot] = Some(outcome_from_checkpoint(&jobs[i], record.clone()));
-                        resumed += 1;
-                    }
+        if let Some(state) = lock(&self.journal).as_ref() {
+            for (slot, &i) in unique.iter().enumerate() {
+                if let Some(record) = state.completed.get(&jobs[i].job_fingerprint()) {
+                    slots[slot] = Some(outcome_from_checkpoint(&jobs[i], record.clone()));
+                    resumed += 1;
                 }
             }
         }
@@ -580,7 +581,7 @@ impl Engine {
             }
             done
         };
-        let worker_count = self.jobs().min(pending.len()).max(1);
+        let worker_count = self.jobs.min(pending.len()).max(1);
         let done = if worker_count == 1 {
             // Inline fast path: a single worker needs no thread spawn —
             // run on the calling thread. Identical outcomes (per-job seeds
@@ -602,36 +603,26 @@ impl Engine {
         }
 
         // Restore submission order, aliasing duplicates to their primary
-        // outcome, and stream the in-order records.
-        let mut engine_sink = lock(&self.sink);
-        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            let src = slots[primary[i]].as_ref().expect("every slot resolved");
-            let mut outcome = src.clone();
-            outcome.job = job.clone();
-            if unique[primary[i]] != i {
-                // An alias never re-ran anything; mark it as served from
-                // the sweep's own working set.
-                outcome.record.cache_hit = true;
-                outcome.record.duration_ms = 0;
-            }
-            if let Some(w) = sink.as_deref_mut() {
-                writeln!(w, "{}", outcome.record.to_jsonl())?;
-            }
-            if let Some(w) = engine_sink.as_deref_mut() {
-                writeln!(w, "{}", outcome.record.to_jsonl())?;
-            }
-            outcomes.push(outcome);
-        }
-        if let Some(w) = sink {
-            w.flush()?;
-        }
-        if let Some(w) = engine_sink.as_deref_mut() {
-            w.flush()?;
-        }
-        drop(engine_sink);
+        // outcome.
+        let outcomes: Vec<JobOutcome> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let src = slots[primary[i]].as_ref().expect("every slot resolved");
+                let mut outcome = src.clone();
+                outcome.job = job.clone();
+                if unique[primary[i]] != i {
+                    // An alias never re-ran anything; mark it as served
+                    // from the sweep's own working set.
+                    outcome.record.cache_hit = true;
+                    outcome.record.duration_ms = 0;
+                }
+                outcome
+            })
+            .collect();
+        lock(&self.sink).write_lines(outcomes.iter().map(|o| o.record.to_jsonl()));
 
-        Ok(SweepResult {
+        SweepResult {
             outcomes,
             cache: self.cache.stats().since(&stats_before),
             wall: started.elapsed(),
@@ -644,7 +635,7 @@ impl Engine {
                 .quarantined_total
                 .load(Ordering::Relaxed)
                 .saturating_sub(quarantined_before),
-        })
+        }
     }
 
     /// A new context for the job's dataset, materialized through the
@@ -664,50 +655,42 @@ impl Engine {
             return;
         }
         let job_fp = job.job_fingerprint();
-        {
-            let mut guard = lock(&self.journal);
-            let Some(state) = guard.as_mut() else { return };
-            if state.dead {
-                return;
+        let mut guard = lock(&self.journal);
+        let Some(state) = guard.as_mut() else { return };
+        if state.dead {
+            return;
+        }
+        let chaos = self.chaos.as_ref();
+        if chaos.and_then(|c| c.truncate_journal_after) == Some(state.appends) {
+            // Chaos: die mid-append, exactly like a process kill.
+            let _ = state.journal.append_torn(job_fp, record);
+            state.dead = true;
+            return;
+        }
+        match state.journal.append(job_fp, record) {
+            Ok(()) => {
+                state.appends += 1;
+                if chaos.and_then(|c| c.abort_after_appends) == Some(state.appends) {
+                    // Chaos: whole-worker loss. The append above has
+                    // fsync'd, so exactly `appends` records survive;
+                    // `abort` skips every destructor and exit handler,
+                    // the closest safe stand-in for `kill -9`.
+                    std::process::abort();
+                }
+                // Completed in the journal ⇒ a later sweep on this engine
+                // can also serve it from the completion map.
+                state.completed.insert(job_fp, record.clone());
             }
-            let truncate_at = lock(&self.chaos)
-                .as_ref()
-                .and_then(|c| c.truncate_journal_after);
-            if truncate_at == Some(state.appends) {
-                // Chaos: die mid-append, exactly like a process kill.
-                let _ = state.journal.append_torn(job_fp, record);
+            Err(e) => {
+                // Checkpointing is best-effort: losing the journal
+                // must never abort the sweep. Say so once.
+                eprintln!(
+                    "warning: checkpoint journal {} failed ({e}); further checkpoints disabled",
+                    state.journal.path().display()
+                );
                 state.dead = true;
-                return;
-            }
-            match state.journal.append(job_fp, record) {
-                Ok(()) => {
-                    state.appends += 1;
-                    let abort_at = lock(&self.chaos)
-                        .as_ref()
-                        .and_then(|c| c.abort_after_appends);
-                    if abort_at == Some(state.appends) {
-                        // Chaos: whole-worker loss. The append above has
-                        // fsync'd, so exactly `appends` records survive;
-                        // `abort` skips every destructor and exit handler,
-                        // the closest safe stand-in for `kill -9`.
-                        std::process::abort();
-                    }
-                }
-                Err(e) => {
-                    // Checkpointing is best-effort: losing the journal
-                    // must never abort the sweep. Say so once.
-                    eprintln!(
-                        "warning: checkpoint journal {} failed ({e}); further checkpoints disabled",
-                        state.journal.path().display()
-                    );
-                    state.dead = true;
-                    return;
-                }
             }
         }
-        // Completed in the journal ⇒ a later sweep in this process can
-        // also serve it from the completion map.
-        lock(&self.completed).insert(job_fp, record.clone());
     }
 
     /// Writes a quarantine record for a job whose transient failures
@@ -724,17 +707,14 @@ impl Engine {
             cause: record.status.clone(),
             attempts: attempts.to_vec(),
         };
-        if let Some(w) = lock(&self.quarantine_sink).as_mut() {
-            let _ = writeln!(w, "{}", entry.to_jsonl());
-            let _ = w.flush();
-        }
+        lock(&self.quarantine_sink).write_lines([entry.to_jsonl()]);
     }
 
     /// Executes one job on the calling worker thread, retrying transient
     /// failures under the engine's [`RetryPolicy`] and quarantining jobs
     /// that exhaust it.
     fn execute(&self, job: &EvalJob, ctx: &Arc<DatasetContext>) -> JobOutcome {
-        let policy = *lock(&self.retry);
+        let policy = self.retry;
         let release_fp = job.release_fingerprint();
         let mut attempts: Vec<AttemptFailure> = Vec::new();
         let mut attempt = 0u32;
@@ -909,10 +889,11 @@ impl Engine {
         let ctx = Arc::clone(ctx);
         let constraint = job.constraint();
         let algorithm = job.algorithm;
-        let chaos_fault = lock(&self.chaos)
+        let chaos_fault = self
+            .chaos
             .as_ref()
             .and_then(|c| c.fault_for(job.release_fingerprint(), attempt));
-        let budget = *lock(&self.budget);
+        let budget = self.budget;
 
         let run = move || -> AnonymizeResult<Release> {
             match chaos_fault {
@@ -974,6 +955,13 @@ impl Engine {
             Err(message) => (JobStatus::Panicked { message }, None),
         }
     }
+}
+
+/// The value behind one of the engine's mutexes, reached through
+/// `&mut Engine`, so no other thread can hold it. Every update leaves
+/// the value whole, so a poisoned mutex's value is still good.
+fn exclusive<T>(mutex: &mut Mutex<T>) -> &mut T {
+    mutex.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The fingerprint of a job's dataset: the key of the engine's dataset
@@ -1132,6 +1120,19 @@ mod tests {
                     })
             })
             .collect()
+    }
+
+    /// A sink tests can read back while the engine still holds it.
+    struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            lock(&self.0).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     fn temp_journal(name: &str) -> std::path::PathBuf {
@@ -1349,20 +1350,58 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sink_receives_one_line_per_job() {
-        let engine = Engine::new(EngineConfig {
+    fn record_sink_receives_one_line_per_job() {
+        let buffer = Arc::new(Mutex::new(Vec::new()));
+        let mut engine = Engine::new(EngineConfig {
             jobs: 2,
             ..EngineConfig::default()
         });
+        engine.record_to(Box::new(SharedSink(buffer.clone())));
         let jobs = quick_jobs();
-        let mut sink = Vec::new();
-        let sweep = engine.run_streaming(&jobs, &mut sink).expect("vec sink");
-        let text = String::from_utf8(sink).expect("utf8 jsonl");
+        let sweep = engine.run(&jobs);
+        engine.finish().expect("vec sink");
+        let text = String::from_utf8(lock(&buffer).clone()).expect("utf8 jsonl");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), jobs.len());
         for (line, outcome) in lines.iter().zip(&sweep.outcomes) {
             assert_eq!(*line, outcome.record.to_jsonl());
         }
+    }
+
+    #[test]
+    fn failed_record_write_keeps_the_sweep_and_surfaces_at_finish() {
+        /// A writer whose every write fails, counting the attempts.
+        struct FullDisk(Arc<AtomicUsize>);
+        impl Write for FullDisk {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let mut engine = Engine::new(EngineConfig {
+            jobs: 2,
+            ..EngineConfig::default()
+        });
+        engine.record_to(Box::new(FullDisk(attempts.clone())));
+        let jobs = quick_jobs();
+        let first = engine.run(&jobs);
+        let second = engine.run(&jobs);
+        for sweep in [&first, &second] {
+            assert_eq!(sweep.outcomes.len(), jobs.len());
+            assert!(sweep.outcomes.iter().all(|o| o.record.status.is_ok()));
+        }
+        assert_eq!(
+            attempts.load(Ordering::Relaxed),
+            1,
+            "writing stops at the first error"
+        );
+        let error = engine.finish().expect_err("the write error is returned");
+        assert_eq!(error.to_string(), "disk full");
     }
 
     #[test]
@@ -1444,19 +1483,8 @@ mod tests {
     fn quarantine_record_carries_cause_and_attempt_history() {
         // A quarantined job's JSONL entry must state why it died (with
         // the preserved panic payload) and every prior attempt.
-        struct SharedSink(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedSink {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                lock(&self.0).extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
         let buffer = Arc::new(Mutex::new(Vec::new()));
-        let engine = Engine::new(EngineConfig {
+        let mut engine = Engine::new(EngineConfig {
             jobs: 1,
             retry: RetryPolicy {
                 max_retries: 2,
@@ -1464,7 +1492,7 @@ mod tests {
             },
             ..EngineConfig::default()
         });
-        engine.set_quarantine_sink(Some(Box::new(SharedSink(buffer.clone()))));
+        engine.quarantine_to(Box::new(SharedSink(buffer.clone())));
         let mut job = quick_jobs().remove(0);
         job.algorithm = AlgorithmSpec::MockPanic;
         let sweep = engine.run(std::slice::from_ref(&job));
@@ -1493,16 +1521,16 @@ mod tests {
         let path = temp_journal("resume-basic");
         let jobs = quick_jobs();
 
-        // First process: checkpoint a full sweep.
-        let first = Engine::new(EngineConfig {
+        // First process: checkpoint a full sweep into a fresh journal.
+        let mut first = Engine::new(EngineConfig {
             jobs: 2,
             ..EngineConfig::default()
         });
-        first.checkpoint_to(&path).unwrap();
+        assert_eq!(first.resume(&path).unwrap().replayed, 0);
         let original = first.run(&jobs);
 
         // Second process (fresh engine = empty caches): resume and re-run.
-        let second = Engine::new(EngineConfig {
+        let mut second = Engine::new(EngineConfig {
             jobs: 2,
             ..EngineConfig::default()
         });
@@ -1524,11 +1552,11 @@ mod tests {
     fn release_for_rematerializes_after_resume() {
         let path = temp_journal("rematerialize");
         let jobs = quick_jobs();
-        let first = Engine::new(EngineConfig::default());
-        first.checkpoint_to(&path).unwrap();
+        let mut first = Engine::new(EngineConfig::default());
+        first.resume(&path).unwrap();
         let original = first.run(&jobs);
 
-        let second = Engine::new(EngineConfig::default());
+        let mut second = Engine::new(EngineConfig::default());
         second.resume(&path).unwrap();
         let resumed = second.run(&jobs);
         assert!(

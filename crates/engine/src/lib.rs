@@ -15,7 +15,7 @@
 //! * [`Engine`] — a worker pool (`--jobs N` threads claiming jobs from a
 //!   shared counter) with a content-addressed memoization cache, so a
 //!   release computed for one experiment is reused by every later
-//!   tournament with the same spec;
+//!   tournament on the same engine with the same spec;
 //! * [`EvalRecord`] — a serde-serializable per-release record that can be
 //!   streamed as JSONL to a file sink.
 //!

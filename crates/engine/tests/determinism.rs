@@ -78,18 +78,29 @@ fn one_worker_and_eight_workers_yield_byte_identical_records() {
 }
 
 #[test]
-fn streaming_output_is_worker_count_independent() {
+fn record_sink_output_is_worker_count_independent() {
     let jobs = mixed_grid();
-    let mut buf1: Vec<u8> = Vec::new();
-    let mut buf8: Vec<u8> = Vec::new();
-    let _ = engine_with_jobs(1).run_streaming(&jobs, &mut buf1);
-    let _ = engine_with_jobs(8).run_streaming(&jobs, &mut buf8);
+    // The record sink as `--out` attaches it: a buffered file, flushed by
+    // `finish`.
+    let records = |workers: usize| -> String {
+        let path = std::env::temp_dir().join(format!(
+            "anoncmp-determinism-{workers}w-{}.jsonl",
+            std::process::id()
+        ));
+        let file = std::fs::File::create(&path).expect("temp file is writable");
+        let mut engine = engine_with_jobs(workers);
+        engine.record_to(Box::new(std::io::BufWriter::new(file)));
+        engine.run(&jobs);
+        engine.finish().expect("records written");
+        let text = std::fs::read_to_string(&path).expect("records readable");
+        std::fs::remove_file(&path).ok();
+        text
+    };
+    let (text1, text8) = (records(1), records(8));
 
-    // Streamed lines carry wall-clock timings, so compare canonicalized.
-    let canon = |buf: &[u8]| -> Vec<String> {
-        String::from_utf8(buf.to_vec())
-            .unwrap()
-            .lines()
+    // Sink lines carry wall-clock timings, so compare canonicalized.
+    let canon = |text: &str| -> Vec<String> {
+        text.lines()
             .map(|l| {
                 // duration_ms and cache_hit are the only non-deterministic
                 // fields; strip them textually.
@@ -102,8 +113,8 @@ fn streaming_output_is_worker_count_independent() {
             })
             .collect()
     };
-    assert_eq!(canon(&buf1).len(), jobs.len());
-    assert_eq!(canon(&buf1), canon(&buf8));
+    assert_eq!(canon(&text1).len(), jobs.len());
+    assert_eq!(canon(&text1), canon(&text8));
 }
 
 #[test]

@@ -76,11 +76,11 @@ fn reference() -> &'static Reference {
         let path =
             std::env::temp_dir().join(format!("anoncmp-dist-ref-{}.jsonl", std::process::id()));
         let _ = fs::remove_file(&path);
-        let engine = Engine::new(EngineConfig {
+        let mut engine = Engine::new(EngineConfig {
             jobs: 1,
             ..EngineConfig::default()
         });
-        engine.checkpoint_to(&path).expect("checkpoint journal");
+        engine.resume(&path).expect("checkpoint journal");
         let sweep = engine.run(&jobs);
         assert!(
             sweep
@@ -89,7 +89,7 @@ fn reference() -> &'static Reference {
                 .all(|o| o.record.status == JobStatus::Ok),
             "the fixture grid must sweep cleanly"
         );
-        engine.detach_journal();
+        engine.finish().expect("close the journal");
         let replay = Journal::replay(&path).expect("replay reference journal");
         let _ = fs::remove_file(&path);
         let (canonical, merged, missing) = dist::canonical_journal(&jobs, &replay.completed);
@@ -223,25 +223,25 @@ proptest! {
                 chaos.truncate_journal_after = Some(kill);
                 chaos
             });
-            let engine = Engine::new(EngineConfig {
+            let mut engine = Engine::new(EngineConfig {
                 jobs: 1,
                 chaos,
                 ..EngineConfig::default()
             });
             engine.resume_sharded(&journal, meta).expect("open shard journal");
             engine.run(&shard_jobs);
-            engine.detach_journal();
+            engine.finish().expect("close the shard journal");
 
             // Reassigned worker: resume the torn journal and heal.
             if shard == victim {
-                let engine = Engine::new(EngineConfig {
+                let mut engine = Engine::new(EngineConfig {
                     jobs: 1,
                     ..EngineConfig::default()
                 });
                 let resumed = engine.resume_sharded(&journal, meta).expect("heal shard journal");
                 prop_assert!(resumed.replayed as u64 <= shard_jobs.len() as u64);
                 engine.run(&shard_jobs);
-                engine.detach_journal();
+                engine.finish().expect("close the shard journal");
             }
         }
 

@@ -59,11 +59,11 @@ fn fixture() -> &'static Fixture {
         ));
         std::fs::remove_file(&path).ok();
         let jobs = small_grid();
-        let engine = Engine::new(EngineConfig {
+        let mut engine = Engine::new(EngineConfig {
             jobs: 2,
             ..EngineConfig::default()
         });
-        engine.checkpoint_to(&path).unwrap();
+        engine.resume(&path).unwrap();
         let sweep = engine.run(&jobs);
         assert!(sweep.outcomes.iter().all(|o| o.record.status.is_ok()));
         let text = std::fs::read_to_string(&path).unwrap();
@@ -119,7 +119,7 @@ proptest! {
         }
         std::fs::write(&path, text).unwrap();
 
-        let engine = Engine::new(EngineConfig { jobs: 2, ..EngineConfig::default() });
+        let mut engine = Engine::new(EngineConfig { jobs: 2, ..EngineConfig::default() });
         let summary = engine.resume(&path).unwrap();
         prop_assert_eq!(summary.replayed, n);
         prop_assert_eq!(summary.dropped, 0);
@@ -142,7 +142,7 @@ proptest! {
         text.push('\n');
         std::fs::write(&path, text).unwrap();
 
-        let engine = Engine::new(EngineConfig { jobs: 2, ..EngineConfig::default() });
+        let mut engine = Engine::new(EngineConfig { jobs: 2, ..EngineConfig::default() });
         let summary = engine.resume(&path).unwrap();
         prop_assert_eq!(summary.replayed, fx.jobs.len());
         let sweep = engine.run(&fx.jobs);
@@ -165,7 +165,7 @@ fn replayed_vectors_survive_release_cache_clearing() {
     text.push('\n');
     std::fs::write(&path, text).unwrap();
 
-    let engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(EngineConfig {
         jobs: 2,
         ..EngineConfig::default()
     });

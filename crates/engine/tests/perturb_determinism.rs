@@ -149,14 +149,14 @@ fn dist_merge_with_perturb_methods_is_byte_identical_for_worker_counts_1_2_4() {
     let jobs = perturb_grid(1).jobs().expect("grid expands");
     let journal = temp_dir("ref").with_extension("jsonl");
     let _ = fs::remove_file(&journal);
-    let engine = engine_with_jobs(1);
-    engine.checkpoint_to(&journal).expect("checkpoint journal");
+    let mut engine = engine_with_jobs(1);
+    engine.resume(&journal).expect("checkpoint journal");
     let sweep = engine.run(&jobs);
     assert!(sweep
         .outcomes
         .iter()
         .all(|o| o.record.status == JobStatus::Ok));
-    engine.detach_journal();
+    engine.finish().expect("close the journal");
     let replay = Journal::replay(&journal).expect("replay reference journal");
     let _ = fs::remove_file(&journal);
     let (canonical, merged, missing) = dist::canonical_journal(&jobs, &replay.completed);

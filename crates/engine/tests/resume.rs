@@ -95,18 +95,21 @@ fn killed_mid_sweep_then_resumed_is_byte_identical() {
         // never aborts work — but only five entries survive on disk,
         // followed by a torn line.
         let path = temp_path(&format!("kill-{workers}w"));
-        let interrupted = engine_with_jobs(workers);
-        interrupted.checkpoint_to(&path).unwrap();
         let mut chaos = ChaosConfig::seeded(7);
         chaos.panic_rate = 0.0;
         chaos.stall_rate = 0.0;
         chaos.truncate_journal_after = Some(5);
-        interrupted.set_chaos(Some(chaos));
+        let mut interrupted = Engine::new(EngineConfig {
+            jobs: workers,
+            chaos: Some(chaos),
+            ..EngineConfig::default()
+        });
+        interrupted.resume(&path).unwrap();
         interrupted.run(&jobs);
 
         // "Second process": resume heals the torn tail and replays the
         // five completed jobs; the sweep recomputes only the rest.
-        let resumed_engine = engine_with_jobs(workers);
+        let mut resumed_engine = engine_with_jobs(workers);
         let summary = resumed_engine.resume(&path).unwrap();
         assert_eq!(summary.replayed, 5, "five fsync'd checkpoints survive");
         assert_eq!(summary.dropped, 1, "the torn line is dropped");
@@ -120,7 +123,7 @@ fn killed_mid_sweep_then_resumed_is_byte_identical() {
 
         // The journal now holds every checkpointable job: a third run
         // recomputes nothing but the (never-journaled) panicking job.
-        let third_engine = engine_with_jobs(workers);
+        let mut third_engine = engine_with_jobs(workers);
         let complete = third_engine.resume(&path).unwrap();
         assert_eq!(complete.dropped, 0, "resume truncated the torn tail");
         let third = third_engine.run(&jobs);
@@ -144,7 +147,7 @@ fn persistent_chaos_quarantines_exactly_the_faulted_jobs() {
     chaos.stall_rate = 0.0; // stalls only fail under a budget; keep this pure
     let chaos_probe = chaos.clone();
 
-    let engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(EngineConfig {
         jobs: 4,
         retry: RetryPolicy {
             max_retries: 1,
@@ -154,7 +157,7 @@ fn persistent_chaos_quarantines_exactly_the_faulted_jobs() {
         ..EngineConfig::default()
     });
     let buffer = Arc::new(Mutex::new(Vec::new()));
-    engine.set_quarantine_sink(Some(Box::new(SharedSink(buffer.clone()))));
+    engine.quarantine_to(Box::new(SharedSink(buffer.clone())));
     let faulted = engine.run(&jobs);
 
     // The expected quarantine set is computable up front: chaos decisions

@@ -629,8 +629,9 @@ fn plan_error_body(error: PlanError) -> ErrorBody {
 /// Without a budget the whole batch goes to the engine at once (its own
 /// worker pool parallelizes across algorithms). With a budget, jobs run
 /// one at a time with a deadline check between them — coarser-grained
-/// than the engine's per-job budget, but it never mutates shared engine
-/// state, so concurrent requests cannot observe each other's deadlines.
+/// than a per-job budget, which is an engine setting fixed for every
+/// request when the daemon builds its engine, so each request's deadline
+/// is checked here instead.
 fn run_compare(inner: &Arc<Inner>, request: &CompareRequest) -> (Arc<Vec<String>>, bool) {
     inner.requests_total.fetch_add(1, Ordering::Relaxed);
     inner.compare_requests.fetch_add(1, Ordering::Relaxed);

@@ -317,37 +317,31 @@ fn compare(opts: &Options) -> Result<(), String> {
     let dataset = load_from_options(opts)?;
     let k = opts.usize_or("k", 5)?;
     let max_sup = opts.usize_or("max-sup", dataset.len() / 20)?;
-    let engine = Engine::global();
-    engine.set_jobs(opts.usize_or("jobs", 0)?);
-
-    if let Some(seed) = opts.get("chaos-seed") {
-        let seed: u64 = seed.parse().map_err(|e| format!("--chaos-seed: {e}"))?;
-        engine.set_chaos(Some(ChaosConfig::seeded(seed)));
-        // Stall faults only fail under a wall-clock budget; heal transient
-        // faults by default instead of littering the comparison.
-        engine.set_budget(Some(std::time::Duration::from_secs(2)));
-        engine.set_max_retries(2);
-        eprintln!("chaos: seeded fault injection on (seed {seed}, ~10% of jobs, 2 s budget)");
-    }
-    if let Some(n) = opts.get("max-retries") {
-        let n: u32 = n.parse().map_err(|e| format!("--max-retries: {e}"))?;
-        engine.set_max_retries(n);
-    }
-    if let Some(path) = opts.get("resume") {
-        let summary = engine
-            .resume(path)
-            .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-        if summary.replayed > 0 || summary.dropped > 0 {
-            eprintln!(
-                "resume: replayed {} completed job(s) from {path}, dropped {} torn line(s)",
-                summary.replayed, summary.dropped
-            );
+    let jobs = opts.usize_or("jobs", 0)?;
+    let chaos_seed = opts.get("chaos-seed").map(str::parse).transpose();
+    let chaos_seed = chaos_seed.map_err(|e| format!("--chaos-seed: {e}"))?;
+    let max_retries = opts.get("max-retries").map(str::parse).transpose();
+    let max_retries = max_retries.map_err(|e| format!("--max-retries: {e}"))?;
+    let mut engine = Engine::new(EngineConfig::from_flags(jobs, chaos_seed, max_retries));
+    let quarantine_path = match opts.get("resume") {
+        None => None,
+        Some(path) => {
+            let summary = engine
+                .resume(path)
+                .map_err(|e| format!("cannot resume from {path}: {e}"))?;
+            if summary.replayed > 0 || summary.dropped > 0 {
+                eprintln!(
+                    "resume: replayed {} completed job(s) from {path}, dropped {} torn line(s)",
+                    summary.replayed, summary.dropped
+                );
+            }
+            let quarantine_path = format!("{path}.failed.jsonl");
+            let file = std::fs::File::create(&quarantine_path)
+                .map_err(|e| format!("cannot create {quarantine_path}: {e}"))?;
+            engine.quarantine_to(Box::new(file));
+            Some(quarantine_path)
         }
-        let quarantine_path = format!("{path}.failed.jsonl");
-        let file = std::fs::File::create(&quarantine_path)
-            .map_err(|e| format!("cannot create {quarantine_path}: {e}"))?;
-        engine.set_quarantine_sink(Some(Box::new(file)));
-    }
+    };
 
     // Perturbative methods joining the tournament force every job onto
     // the numeric bounded-loss property: class sizes mean nothing for a
@@ -440,8 +434,10 @@ fn compare(opts: &Options) -> Result<(), String> {
         eprintln!("{}", sweep.resilience_summary());
     }
     // Flush the quarantine file and close the journal before exit.
-    engine.set_quarantine_sink(None);
-    engine.detach_journal();
+    if let Err(e) = engine.finish() {
+        let path = quarantine_path.expect("only the quarantine sink writes");
+        return Err(format!("cannot write {path}: {e}"));
+    }
     if interrupted.requested() {
         eprintln!("interrupted: sweep drained and checkpoint journal flushed; exiting cleanly");
     }

@@ -170,3 +170,45 @@ fn anonymize_refuses_perturbative_and_unknown_algorithms() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--chaos-seed` runs the chaos drill, whose 2 retries heal its
+/// transient faults; an explicit `--max-retries` wins over them, so the
+/// same fault is quarantined instead.
+#[test]
+fn explicit_max_retries_wins_over_the_chaos_drill() {
+    let dir = scratch("chaos");
+    let input = toy_csv(&dir);
+    let compare = [
+        "compare",
+        "--input",
+        input.to_str().unwrap(),
+        "--qi",
+        "age,zip",
+        "--sensitive",
+        "diagnosis",
+        "--k",
+        "2",
+        "--chaos-seed",
+        "3",
+    ];
+
+    let out = anoncmp(&compare);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("1 retry, 0 quarantined"), "{stderr}");
+
+    let out = anoncmp(&[&compare[..], &["--max-retries", "0"]].concat());
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("0 retries, 1 quarantined"), "{stderr}");
+    assert!(
+        stdout.lines().any(|line| line.starts_with("datafly ")
+            && line.contains("failed: Panicked")
+            && line.contains("chaos: injected panic")),
+        "datafly's chaos panic is reported: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
